@@ -76,10 +76,6 @@ def run_headline() -> dict:
     from dataxray.gen import GenConfig
     from dataxray.pipelines.replay import ReplayConfig, replay
 
-    # A/B knob for the shuffle implementation (BASELINE.md scaling study):
-    # "sort" = Ray groupby shuffle, "direct" = raw-task hash exchange
-    exchange = os.environ.get("DATAXRAY_EXCHANGE", "direct")
-
     import ray.data
 
     cfg = GenConfig(**GEN)
@@ -97,7 +93,7 @@ def run_headline() -> dict:
     shutil.rmtree(warm_lake, ignore_errors=True)
     replay(os.path.join(BENCH_DATA, "events"), warm_lake,
            pages_path=os.path.join(BENCH_DATA, "pages.parquet"),
-           cfg=ReplayConfig(num_partitions=NUM_PARTITIONS, exchange=exchange))
+           cfg=ReplayConfig(num_partitions=NUM_PARTITIONS))
     shutil.rmtree(warm_lake, ignore_errors=True)
     # epoch split for the steady-state metric: first half of the WAL
     # bootstraps the lake, the second half replays incrementally against it
@@ -122,7 +118,7 @@ def run_headline() -> dict:
             os.path.join(BENCH_DATA, "events"),
             BENCH_LAKE,
             pages_path=os.path.join(BENCH_DATA, "pages.parquet"),
-            cfg=ReplayConfig(num_partitions=NUM_PARTITIONS, exchange=exchange),
+            cfg=ReplayConfig(num_partitions=NUM_PARTITIONS),
         )
         dt = time.perf_counter() - t0
         elapsed = dt if elapsed is None else min(elapsed, dt)
@@ -136,10 +132,10 @@ def run_headline() -> dict:
         shutil.rmtree(inc_lake, ignore_errors=True)
         replay(half_dir, inc_lake,
                pages_path=os.path.join(BENCH_DATA, "pages.parquet"),
-               cfg=ReplayConfig(num_partitions=NUM_PARTITIONS, exchange=exchange))
+               cfg=ReplayConfig(num_partitions=NUM_PARTITIONS))
         t0 = time.perf_counter()
         replay(os.path.join(BENCH_DATA, "events"), inc_lake,
-               cfg=ReplayConfig(num_partitions=NUM_PARTITIONS, exchange=exchange))
+               cfg=ReplayConfig(num_partitions=NUM_PARTITIONS))
         di = time.perf_counter() - t0
         inc_elapsed = di if inc_elapsed is None else min(inc_elapsed, di)
         shutil.rmtree(inc_lake, ignore_errors=True)

@@ -10,10 +10,10 @@ and monotonic transaction ids.
 
 Layout:
   dataxray.schema     — Arrow schemas for pages / change events (ref: Record.java, Column.java)
-  dataxray.hashing    — stable vectorized key hashing for partition/salt assignment
+  dataxray.hashing    — stable vectorized key hashing for partition assignment
   dataxray.gen        — deterministic synthetic pages + change-log generator (ref: StreamReader.java)
   dataxray.sources    — WAL-tail reader with txn watermarks + schema unification (ref: otsstreamreader)
-  dataxray.stages     — decode/validate, partition/salt, LWW merge stages
+  dataxray.stages     — decode/validate, partition assignment, direct exchange, LWW merge stages
   dataxray.state      — lake layout, manifests, exactly-once commit, checkpoints (ref: HdfsWriter tmp+rename, StarRocks labels)
   dataxray.pipelines  — end-to-end replay + report pipelines
   dataxray.functions  — dx_* transform library, UDF registry, text/dedup/similarity ops

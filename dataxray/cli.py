@@ -594,14 +594,19 @@ def run_job(job: dict, dry_run: bool = False) -> dict:
             if dry_run:
                 return {"reader": rname, "writer": wname,
                         "lake": wp["path"], "dryRun": True}
+            own_staging = None
             if rname == "warcreader":
                 # crawl-dump CDC: decode WARC shards to a staged WAL first
                 # (pipelines/ingest.py), then the standard replay below
                 from .pipelines.ingest import warc_to_wal
 
                 files, _fs = _resolve_reader_paths(rp)
-                staging = rp.get("stagingDir") or os.path.join(
-                    "/tmp", "dataxray_cli_warc", f"stage-{time.time_ns()}")
+                staging = rp.get("stagingDir")
+                if not staging:
+                    # this run's own scratch copy of the decoded crawl:
+                    # removed after a successful replay
+                    staging = own_staging = os.path.join(
+                        "/tmp", "dataxray_cli_warc", f"stage-{time.time_ns()}")
                 warc_to_wal(files, staging,
                             extract_text=rp.get("extractText", True))
                 rp = dict(rp, path=staging)
@@ -617,11 +622,12 @@ def run_job(job: dict, dry_run: bool = False) -> dict:
                 rp["path"], wp["path"], pages_path=pages_path,
                 cfg=ReplayConfig(
                     num_partitions=int(wp.get("numPartitions", 32)),
-                    num_salts=int(wp.get("numSalts", 0)),
                     dirty_dir=cdc_dirty,
                     error_limit=error_limit,
                 ),
             )
+            if own_staging is not None:
+                shutil.rmtree(own_staging, ignore_errors=True)
             return {
                 "reader": rname, "writer": wname, "lake": wp["path"],
                 "partitionsCommitted": rep.partitions_committed,

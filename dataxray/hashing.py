@@ -1,4 +1,4 @@
-"""Stable, vectorized key hashing for partition / salt assignment.
+"""Stable, vectorized key hashing for partition assignment.
 
 The reference splits work by primary-key ranges (RangeSplitUtil.java:14-100,
 SingleTableSplitUtil.java:34-130); our engine's single wide shuffle is a hash

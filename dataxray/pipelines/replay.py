@@ -8,10 +8,12 @@ crossed with otsstreamreader's checkpointed change-stream replay (§3.3):
     read_parquet(event shards, footer-pruned by watermark, unified schema)
       → map_batches(Validate)           # dirty side-channel + error budget
       → map_batches(align to evolved schema)
-      → map_batches(AssignPartition)    # _part = hash(url) % P  (+ salt)
-      → map_batches(BatchCombiner)      # pre-shuffle LWW combiner
-      [salted: groupby(_salt).map_groups(lww_reduce)]   # hot-key stage A
-      → groupby(_part).map_groups(merge+stage-write)    # THE shuffle
+      → direct_exchange                 # THE shuffle (stages/exchange.py)
+          split task:   AssignPartition  # _part = hash(url) % P
+                        → BatchCombiner  # pre-shuffle LWW combiner
+                        → √P coarse groups
+          fan-out task: group → per-partition slices
+          merge task:   _merge_tables    # per-partition LWW merge + stage-write
       → driver: label-deduped manifest commits (exactly-once)
 
 Everything streams: the only driver-side materialization is one small
@@ -31,7 +33,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..errors import ErrorLimit, check_budget
-from ..schema import META_FIELDS, OP_INSERT, PART_COL, SALT_COL, align_table, unify
+from ..schema import META_FIELDS, OP_INSERT, align_table, unify
 from ..sources import wal
 from ..stages.decode import Validate
 from ..stages.merge import BatchCombiner, lww_reduce, merge_partition
@@ -43,25 +45,7 @@ from ..state.manifest import Lake
 @dataclass(frozen=True)
 class ReplayConfig:
     num_partitions: int = 32
-    num_salts: int = 0  # >1 enables the salted two-stage merge
-    auto_salt: bool = False  # salt only detected heavy-hitter urls
-    hot_frac: float = 0.01  # per-batch hot threshold for auto_salt
     batch_size: int | None = 32_768
-    # "direct" (default) = raw-task hash exchange (stages/exchange.py):
-    # measured faster than the sort shuffle at every parallelism level AND
-    # ~5x less sensitive to co-tenant noise (BASELINE.md round-3 A/B — best
-    # 11.1s vs 27.0s at 8 CPUs, 12.4s vs 12.8s at 32); the merge key is a
-    # precomputed int partition id, so the sort path's boundary sampling and
-    # per-block sorts buy nothing. "sort" = Ray groupby shuffle (keeps the
-    # generic path exercised; the salted pre-merge stage always uses it).
-    exchange: str = "direct"
-    # 2 = two-level direct exchange (split → √P coarse groups → fan-out):
-    # cuts driver ObjectRef bookkeeping from O(split_tasks×P) to
-    # O(split_tasks×√P + split_tasks×P/regroup) at the cost of one extra
-    # task hop per row. Worth it when split_tasks×P is large (big cluster /
-    # many partitions); None = env DATAXRAY_EXCHANGE_LEVELS, default 1.
-    exchange_levels: int | None = None
-    exchange_regroup: int | None = None  # level-1 slices per fan-out task
     sink_mode: str = "rewrite"  # "delta": append per-epoch LWW winners, resolve on read
     history: bool = False  # retain every committed version (time travel / CDF)
     compact_threshold: int = 8  # delta files per partition before auto-compaction
@@ -91,7 +75,7 @@ def _tune_read_parallelism() -> None:
 def _merge_tables(p: int, tables: list[pa.Table], lake_root: str, run_id: str,
                   wm: dict, target: pa.Schema, sink_mode: str = "rewrite",
                   compact_threshold: int = 8, monitor=None) -> dict:
-    """Per-partition final merge used by both exchange paths: filter by the
+    """Per-partition final merge, one exchange merge task each: filter by the
     partition watermark, stage new state, return small commit metadata.
 
     sink_mode="rewrite": fold in current state, produce the resolved
@@ -146,8 +130,8 @@ class _AssignCombineFuse:
     """Per-block assign-partition + LWW-combine, fused into the direct
     exchange's split task (see direct_exchange fuse_fn)."""
 
-    def __init__(self, cfg: "ReplayConfig"):
-        self.assign = AssignPartition(cfg.num_partitions, 0)
+    def __init__(self, num_partitions: int):
+        self.assign = AssignPartition(num_partitions)
         self.combine = BatchCombiner(counted=True)
 
     def __call__(self, block: pa.Table) -> pa.Table:
@@ -155,7 +139,7 @@ class _AssignCombineFuse:
 
 
 def _warn_if_backlog_exceeds_memory(files) -> None:
-    """One replay's sort shuffle holds the pass's decoded events in the
+    """One replay's exchange holds the pass's decoded events in the
     object store; a backlog much larger than the store spills to disk and
     collapses throughput ~10x (measured, BASELINE.md). Steer big backlogs
     to pipelines.tail.replay_chunked instead of degrading silently."""
@@ -309,28 +293,6 @@ def replay(
             # CPUs would starve the read/merge tasks on small clusters
         )
 
-    # fused direct path: assign+combine run INSIDE the exchange's split task
-    # (no separate map stage, one less plasma round-trip per block)
-    fused_direct = cfg.exchange == "direct" and cfg.num_salts <= 1
-    if not fused_direct:
-        ds = ds.map_batches(
-            AssignPartition(cfg.num_partitions, cfg.num_salts,
-                            auto_salt=cfg.auto_salt, hot_frac=cfg.hot_frac),
-            batch_format="pyarrow", batch_size=cfg.batch_size,
-        )
-        ds = ds.map_batches(BatchCombiner(counted=True), batch_format="pyarrow",
-                            batch_size=cfg.batch_size)
-
-    if cfg.num_salts > 1:
-        # stage A: per-(part,salt) partial LWW winners (hot-url mitigation);
-        # counted so _cnt keeps summing through the partial reduce
-        from ..stages.merge import lww_reduce_counted
-
-        ds = ds.groupby(SALT_COL).map_groups(
-            lambda g: lww_reduce_counted(g), batch_format="pyarrow"
-        )
-        ds = ds.drop_columns([SALT_COL])
-
     lake_root, wm, tgt = lake.root, dict(watermarks), target
     watchdog = None
     if cfg.stall_timeout_sec:
@@ -343,41 +305,14 @@ def replay(
                         compact_threshold=cfg.compact_threshold,
                         monitor=watchdog.monitor if watchdog else None)
 
-    if cfg.exchange == "direct":
-        from ..stages.exchange import direct_exchange
+    # assign + combine run INSIDE the exchange's split task (no separate
+    # map stage, one less plasma round-trip per block). direct_exchange and
+    # _merge_tables are looked up at call time so they can be wrapped
+    from ..stages.exchange import direct_exchange
 
-        fuse = _AssignCombineFuse(cfg) if fused_direct else None
-        meta_rows = direct_exchange(ds, cfg.num_partitions, _merge_tables,
-                                    merge_kwargs, fuse_fn=fuse,
-                                    levels=cfg.exchange_levels,
-                                    regroup=cfg.exchange_regroup)
-    else:
-        def merge_and_stage(group: pa.Table) -> pa.Table:
-            """Per-partition final merge; writes new state to staging, emits
-            one metadata row. Runs distributed; only metadata returns."""
-            p = group[PART_COL][0].as_py()
-            m = _merge_tables(p, [group.drop_columns([PART_COL])], **merge_kwargs)
-            return pa.table(
-                {"partition": pa.array([m["partition"]], pa.int32()),
-                 "txn_hi": pa.array([m["txn_hi"]]),
-                 "staged": pa.array([m["staged"]], pa.list_(pa.string())),
-                 "row_count": pa.array([m["row_count"]]),
-                 "num_bytes": pa.array([m["num_bytes"]]),
-                 "noop": pa.array([m["noop"]]),
-                 "mode": pa.array([m["mode"]]),
-                 "n_events": pa.array([m["n_events"]], pa.int64())}
-            )
-
-        grouped = ds.groupby(PART_COL).map_groups(
-            merge_and_stage, batch_format="pyarrow"
-        )
-        meta_rows = grouped.take_all()
-        if os.environ.get("DATAXRAY_PRINT_STATS"):
-            # phase attribution for scaling analysis (BASELINE.md): Ray Data's
-            # per-operator wall/cpu breakdown of the executed plan
-            import sys as _sys
-
-            print(grouped.stats(), file=_sys.stderr)
+    meta_rows = direct_exchange(ds, cfg.num_partitions, _merge_tables,
+                                merge_kwargs,
+                                fuse_fn=_AssignCombineFuse(cfg.num_partitions))
 
     if watchdog is not None:
         watchdog.stop()

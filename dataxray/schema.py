@@ -46,7 +46,6 @@ EVENT_SCHEMA_EVOLVED = EVENT_SCHEMA.append(EVO_FIELD)
 
 # Internal columns the engine adds.
 PART_COL = "_part"  # url-hash partition id
-SALT_COL = "_salt"  # sub-partition salt for hot-key mitigation
 
 
 def state_schema(event_schema: pa.Schema) -> pa.Schema:

@@ -1,20 +1,28 @@
-"""Direct hash exchange — a two-phase partition/merge shuffle on raw Ray
-tasks, bypassing the generic sort-based groupby.
+"""Direct hash exchange — the write path's one shuffle: a two-level
+partition/merge exchange on raw Ray tasks.
 
-Why it exists: Ray Data's ``groupby(key)`` is a general sort shuffle —
+Why raw tasks: Ray Data's ``groupby(key)`` is a general sort shuffle —
 boundary sampling, per-block sorts, range partitioning. Our merge key is a
-*precomputed integer partition id in [0, P)*, so none of that machinery is
-needed: map side splits each block by ``_part`` (one key-only sort of int32
-codes, then P zero-copy slices), reduce side concatenates its P-th slices
-and runs the LWW merge. This is the documented "(c) raw Ray tasks" escape
-hatch (driver brief): the partitioning assumption is exactly ``_part =
-hash(url) % P`` assigned upstream by AssignPartition.
+*precomputed integer partition id in [0, P)* (``_part = hash(url) % P``,
+stages/partition.py), so none of that machinery is needed: a key-only
+argsort of the int32 codes and zero-copy slices route every row.
 
-Phase overlap: split tasks are submitted as map blocks materialize; merge
-tasks start as soon as all splits land (the all-to-all barrier is inherent
-to any shuffle). Objects flow through the local plasma store (shared
-memory) — on a multi-node cluster the same code moves slices over the
-network via Ray's object transfer.
+Per map block, streamed out of the Dataset executor as it lands:
+
+    split task    fuse_fn(block)  (assign _part + pre-shuffle LWW combine)
+                  → g ≈ √P coarse slices, each a consecutive _part range
+    fan-out task  up to REGROUP slices of one group → that group's
+                  per-partition slices (_part dropped)
+    merge task    one per partition: merge_fn(p, slices, **merge_kwargs)
+
+The coarse level keeps the driver's ObjectRef bookkeeping at
+O(S×√P + S×P/REGROUP) for S split tasks instead of O(S×P): at P=256 that
+is 32 refs per split task instead of 256, the coordinator cost that erodes
+weak scaling (BASELINE.md round-4, drain-phase attribution). The merge
+tasks start once every slice has landed (the all-to-all barrier is inherent
+to any shuffle). Objects flow through the local plasma store; on a
+multi-node cluster the same code moves slices over the network via Ray's
+object transfer.
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ import numpy as np
 import pyarrow as pa
 
 from ..schema import PART_COL
+
+REGROUP = 16  # coarse slices of one group consumed per fan-out task
 
 
 def split_by_codes(block: pa.Table, edges: np.ndarray,
@@ -50,182 +60,106 @@ def split_by_part(block: pa.Table, num_partitions: int) -> list[pa.Table]:
     return split_by_codes(block, np.arange(num_partitions + 1))
 
 
+def group_edges(num_partitions: int) -> np.ndarray:
+    """Half-open _part boundaries of the g ≈ √P coarse groups: k consecutive
+    partition ids each, the last group possibly narrower (P=21 → widths
+    5,5,5,5,1); P ≤ 2 gives a single group."""
+    g = max(int(round(num_partitions ** 0.5)), 1)
+    k = -(-num_partitions // g)  # ceil
+    g = -(-num_partitions // k)
+    return np.minimum(np.arange(g + 1) * k, num_partitions)
+
+
+def _slices(tables, edges: np.ndarray, drop_part: bool):
+    """Task body of both levels: concat, split along ``edges``. A single
+    slice is returned bare, as Ray stores a num_returns=1 result as is."""
+    t = tables[0] if len(tables) == 1 else pa.concat_tables(
+        tables, promote_options="permissive")
+    out = split_by_codes(t, edges, drop_part=drop_part)
+    return out[0] if len(out) == 1 else tuple(out)
+
+
+def _submit(remote_fn, n: int, *args) -> list:
+    """Submit with num_returns=n and always get a list of refs back (Ray
+    returns a bare ObjectRef, not a list, when n is 1)."""
+    out = remote_fn.options(num_returns=n).remote(*args)
+    return [out] if n == 1 else out
+
+
 def direct_exchange(ds, num_partitions: int, merge_fn, merge_kwargs: dict,
-                    pipelined: bool = True, fuse_fn=None,
-                    levels: int | None = None, regroup: int | None = None):
+                    fuse_fn=None):
     """Run the partition exchange + per-partition merge with raw Ray tasks.
 
     ``merge_fn(p, tables, **merge_kwargs)`` runs remotely once per non-empty
     partition and returns a small metadata dict. Returns the list of results.
 
-    pipelined=True streams blocks out of the Dataset executor
-    (iter_internal_ref_bundles) and submits split tasks as map output lands,
-    overlapping the split phase with the map phase; False materializes first
-    (to_arrow_refs) — simpler, but serializes the phases.
-
-    ``fuse_fn`` (optional, picklable block→block callable) runs INSIDE each
-    split task before splitting — fusing the last map stage (partition
-    assign + combiner) with the split removes one task hop and one plasma
-    round-trip per block (the map stage's output block is never written to
-    the store as a separate object).
-
-    ``levels=2`` enables the two-level exchange: split tasks emit √P coarse
-    GROUP slices (part column kept), and per-group fan-out tasks — each
-    consuming up to ``regroup`` group slices — emit the final partitions.
-    Driver bookkeeping drops from O(S×P) ObjectRefs (S = split tasks) to
-    O(S×√P + S×P/regroup): at P=256, regroup=16 that is 256 refs/task →
-    32 refs/task, the coordinator cost that erodes weak scaling (measured:
-    BASELINE.md round-4, drain-phase attribution). The trade is one extra
-    task hop and one extra in-store copy per row on the coarse path —
-    worth it only when S×P is large, so levels defaults to 1 and the tail
-    loop / callers opt in via config or DATAXRAY_EXCHANGE_LEVELS.
+    ``fuse_fn`` (optional, picklable block→block callable that appends
+    ``_part``) runs INSIDE each split task before splitting, so the last map
+    stage's output block is never written to the store as its own object.
+    Without it the blocks must already carry ``_part``.
     """
-    import os as _os
+    import os
+    import time
 
     import ray
 
-    # group G map blocks per split task: the driver's bookkeeping is
-    # O(split_tasks × P) ObjectRefs, which scales with DATA (block count)
-    # even when per-CPU load is constant — the one coordinator cost that
-    # erodes weak scaling. Grouping divides it by G for one extra in-task
-    # concat (cheap: the concat is zero-copy chunk stitching).
-    group = max(int(_os.environ.get("DATAXRAY_SPLIT_GROUP", "1")), 1)
-    if levels is None:
-        env = _os.environ.get("DATAXRAY_EXCHANGE_LEVELS")
-        # auto default: two-level from P>=16 up — it won every interleaved
-        # A/B pair at P=32/32 CPUs (BASELINE.md round-4 §two-level) and its
-        # bookkeeping advantage only grows with P × block count; below
-        # P=16 the extra hop buys nothing (S×P is already tiny)
-        levels = int(env) if env else (2 if num_partitions >= 16 else 1)
-    if regroup is None:
-        regroup = max(int(_os.environ.get("DATAXRAY_REGROUP", "16")), 1)
-    two_level = levels >= 2 and num_partitions >= 4
+    edges = group_edges(num_partitions)
+    n_groups = len(edges) - 1
 
-    # coarse grouping for the two-level path: g1 ≈ √P uniform-width groups
-    # of k consecutive partition ids each (the last may be narrower)
-    if two_level:
-        g1 = max(int(round(num_partitions ** 0.5)), 1)
-        k = -(-num_partitions // g1)  # ceil
-        g1 = -(-num_partitions // k)
-        group_edges = np.minimum(np.arange(g1 + 1) * k, num_partitions)
-    else:
-        g1, k, group_edges = 0, 0, None
-
-    def _split_blocks(*blocks, n=num_partitions, f=fuse_fn):
-        done = [f(b) if f is not None else b for b in blocks]
-        t = done[0] if len(done) == 1 else pa.concat_tables(
-            done, promote_options="permissive")
-        return tuple(split_by_part(t, n))
-
-    def _split_groups(*blocks, edges=group_edges, f=fuse_fn):
-        done = [f(b) if f is not None else b for b in blocks]
-        t = done[0] if len(done) == 1 else pa.concat_tables(
-            done, promote_options="permissive")
-        out = split_by_codes(t, edges, drop_part=False)
-        return out[0] if len(out) == 1 else tuple(out)
+    def _split(block):
+        if fuse_fn is not None:
+            block = fuse_fn(block)
+        return _slices([block], edges, False)
 
     def _fanout(base, width, *tables):
-        t = tables[0] if len(tables) == 1 else pa.concat_tables(
-            tables, promote_options="permissive")
-        out = split_by_codes(t, np.arange(width + 1) + base, drop_part=True)
-        return out[0] if len(out) == 1 else tuple(out)
-
-    split_remote = ray.remote(num_cpus=1,
-                              num_returns=num_partitions)(_split_blocks)
-    if two_level:
-        group_remote = ray.remote(num_cpus=1, num_returns=g1)(_split_groups)
-        fanout_remotes = {
-            w: ray.remote(num_cpus=1, num_returns=w)(_fanout)
-            for w in {int(group_edges[g + 1] - group_edges[g])
-                      for g in range(g1)}
-        }
+        return _slices(tables, np.arange(width + 1) + base, True)
 
     def _merge(p, kwargs, *tables):
-        parts = [t.drop_columns([PART_COL]) if PART_COL in t.column_names else t
-                 for t in tables if t is not None and len(t)]
-        if not parts:
-            return None
-        return merge_fn(p, parts, **kwargs)
+        parts = [t for t in tables if len(t)]
+        return merge_fn(p, parts, **kwargs) if parts else None
 
+    split_remote = ray.remote(num_cpus=1)(_split)
+    fanout_remote = ray.remote(num_cpus=1)(_fanout)
     merge_remote = ray.remote(num_cpus=1)(_merge)
 
     per_part: list[list] = [[] for _ in range(num_partitions)]
-    pending: list = []
-    # two-level: level-1 group slices buffered here until `regroup` of them
-    # are ready for one fan-out task (or the stream ends)
-    group_buf: list[list] = [[] for _ in range(g1)] if two_level else []
+    # coarse slices buffered per group until REGROUP of them are ready for
+    # one fan-out task (or the stream ends)
+    group_buf: list[list] = [[] for _ in range(n_groups)]
 
     def _flush_group(g: int):
-        refs = group_buf[g]
-        if not refs:
-            return
-        base = int(group_edges[g])
-        width = int(group_edges[g + 1]) - base
-        out = fanout_remotes[width].remote(base, width, *refs)
-        if width == 1:
-            per_part[base].append(out)
-        else:
-            for j, r in enumerate(out):
-                per_part[base + j].append(r)
+        base = int(edges[g])
+        width = int(edges[g + 1]) - base
+        for j, r in enumerate(_submit(fanout_remote, width, base, width,
+                                      *group_buf[g])):
+            per_part[base + j].append(r)
         group_buf[g] = []
 
-    def _submit(block_refs: list):
-        if num_partitions == 1:
-            # num_returns=1 would hand the merge a 1-tuple, not a table —
-            # with a single partition there is nothing to split anyway
-            for block_ref in block_refs:
-                if fuse_fn is not None:  # callable inst → wrap for remote
-                    block_ref = ray.remote(num_cpus=1)(
-                        lambda b, f=fuse_fn: f(b)).remote(block_ref)
-                per_part[0].append(block_ref)
-            return
-        if two_level:
-            for g, r in enumerate(group_remote.remote(*block_refs)):
+    t0 = time.perf_counter()
+    keep = []  # hold bundle + block refs so the store can't release them
+    for bundle in ds.iter_internal_ref_bundles():
+        keep.append(bundle)
+        for block_ref in bundle.block_refs:
+            keep.append(block_ref)
+            for g, r in enumerate(_submit(split_remote, n_groups, block_ref)):
                 group_buf[g].append(r)
-                if len(group_buf[g]) >= regroup:
+                if len(group_buf[g]) >= REGROUP:
                     _flush_group(g)
-            return
-        for p, r in enumerate(split_remote.remote(*block_refs)):
-            per_part[p].append(r)
-
-    def _enqueue(block_ref):
-        pending.append(block_ref)
-        if len(pending) >= group:
-            _submit(pending[:])
-            pending.clear()
-
-    import os
-    import time as _time
-
-    t0 = _time.perf_counter()
-    if pipelined:
-        keep = []  # hold bundle + block refs so the store can't release them
-        for bundle in ds.iter_internal_ref_bundles():
-            keep.append(bundle)
-            for block_ref in bundle.block_refs:
-                keep.append(block_ref)
-                _enqueue(block_ref)
-    else:
-        for ref in ds.to_arrow_refs():
-            _enqueue(ref)
-    if pending:
-        _submit(pending[:])
-        pending.clear()
-    if two_level:
-        for g in range(g1):
+    for g in range(n_groups):
+        if group_buf[g]:
             _flush_group(g)
-    t1 = _time.perf_counter()
+    t1 = time.perf_counter()
     metas = ray.get(
         [merge_remote.remote(p, merge_kwargs, *per_part[p]) for p in range(num_partitions)]
     )
     if os.environ.get("DATAXRAY_PRINT_STATS"):
         # map+split drain vs merge tail, for BASELINE.md phase attribution
-        import sys as _sys
+        import sys
 
         print(f"[exchange] map+split drain {t1 - t0:.2f}s, merge tail "
-              f"{_time.perf_counter() - t1:.2f}s", file=_sys.stderr)
+              f"{time.perf_counter() - t1:.2f}s", file=sys.stderr)
         try:
-            print(ds.stats(), file=_sys.stderr)
+            print(ds.stats(), file=sys.stderr)
         except Exception:
             pass
     return [m for m in metas if m is not None]

@@ -7,11 +7,10 @@ ElasticSearchWriter.java:953-957). We own it: a vectorized
 sort-by-(key, txn_id, seq) + take-last-run reduction over Arrow tables.
 
 LWW is an associative, commutative max-by-(txn_id, seq) reduction, which
-makes two scale tricks sound:
-  * **batch combiner** — reduce every batch before the shuffle so only one
-    row per (url, batch) crosses the wire (huge win at 70% update mix);
-  * **salted two-stage reduce** — per-(part, salt) partial winners feed a
-    final per-part reduce (hot-url mitigation, SURVEY.md §7.4).
+makes the **batch combiner** sound: reduce every block before the shuffle so
+only one row per (url, block) crosses the wire — a huge win at a 70% update
+mix, and what keeps a hot url from skewing its partition (SURVEY.md §7.4).
+The per-partition merge then reduces the partial winners again.
 
 Tombstones (op='D') must survive partial reduces (a later batch may not know
 the url was deleted) and are dropped only in the final materialization.

@@ -1,4 +1,4 @@
-"""Url-hash partition / salt assignment — the engine's single wide shuffle key.
+"""Url-hash partition assignment — the engine's single wide shuffle key.
 
 The reference splits *input* by key ranges (SingleTableSplitUtil.java:34-130)
 and delegates keyed merge to the destination DB (WriterUtil.java:110-167).
@@ -7,63 +7,27 @@ hash(url) % P`` routes every event for a url to exactly one partition group,
 which restores per-key total order (the analog of otsstreamreader's
 parent-shard-before-child ordering, ShardStatusChecker.java:36-73).
 
-Hot-key (Zipf url) mitigation: a salted two-stage merge. Stage A groups by
-``(_part, _salt)`` with ``_salt = txn_id % S`` — LWW is an associative
-max-by-(txn_id, seq) reduction, so per-salt partial winners are correct
-inputs to a final per-partition reduce (SURVEY.md §7.4).
+Hot urls need no separate path: the pre-shuffle LWW combiner that runs right
+after this stage (stages/merge.py BatchCombiner) collapses a url to one row
+per block, so a url owning most of the events still moves about one row per
+block through the exchange (stages/exchange.py).
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
 from ..hashing import partition_of
-from ..schema import PART_COL, SALT_COL
+from ..schema import PART_COL
 
 
 class AssignPartition:
-    """map_batches callable: append _part (and optionally _salt) columns.
+    """Block callable: append the ``_part`` column."""
 
-    Salting modes (num_salts S > 1):
-      * blanket (auto_salt=False): every event gets salt = txn % S — simple,
-        uniform stage-A spread;
-      * auto (auto_salt=True): per-batch heavy-hitter detection — only urls
-        covering more than ``hot_frac`` of the batch get a non-zero salt, so
-        cold keys skip the extra stage-A regrouping work. Detection is local
-        to the batch (no coordination): a globally-hot url is hot in most
-        batches, and a url salted in some batches and not others still
-        reduces correctly because stage B re-reduces per url within the
-        partition (LWW is associative).
-    """
-
-    def __init__(self, num_partitions: int, num_salts: int = 0, key: str = "url",
-                 auto_salt: bool = False, hot_frac: float = 0.01):
+    def __init__(self, num_partitions: int, key: str = "url"):
         self.num_partitions = num_partitions
-        self.num_salts = num_salts
         self.key = key
-        self.auto_salt = auto_salt
-        self.hot_frac = hot_frac
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         part = partition_of(batch[self.key], self.num_partitions)
-        batch = batch.append_column(PART_COL, pa.array(part))
-        if self.num_salts > 1:
-            # composite (part, salt) key in one int32 column: a single-column
-            # groupby suffices for the stage-A salted reduce
-            txn = batch["txn_id"].combine_chunks().to_numpy(zero_copy_only=False)
-            local = (txn % self.num_salts).astype(np.int32)
-            if self.auto_salt:
-                codes = pc.dictionary_encode(
-                    batch[self.key].combine_chunks()
-                ).indices.to_numpy(zero_copy_only=False)
-                counts = np.bincount(codes)
-                hot = counts[codes] > max(2, int(self.hot_frac * len(batch)))
-                local = np.where(hot, local + 1, 0).astype(np.int32)
-                salt = part * (self.num_salts + 1) + local
-            else:
-                salt = part * self.num_salts + local
-            batch = batch.append_column(SALT_COL, pa.array(salt))
-        return batch
+        return batch.append_column(PART_COL, pa.array(part))

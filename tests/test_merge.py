@@ -64,18 +64,24 @@ def test_merge_partition_delete_removes_state_row():
     assert out.num_rows == 0
 
 
-def test_salted_two_stage_equals_single_stage():
+def test_lww_reduce_of_partial_reduces_equals_one_reduce():
+    """Associativity that the pre-shuffle combiner relies on: LWW-reducing
+    any split of the events (per block, or by any other key) and reducing
+    the partial winners again equals one reduce of everything, with one hot
+    url and its tombstones spread over every part."""
     rows = []
     for i in range(200):
-        rows.append(ev("hot", i + 1, 0, "U" if i % 7 else "I", f"v{i+1}"))
+        op = "D" if i % 11 == 0 else ("U" if i % 7 else "I")
+        rows.append(ev("hot", i + 1, 0, op, None if op == "D" else f"v{i+1}"))
         rows.append(ev(f"u{i%13}", i + 1, 1, "U", f"w{i+1}"))
     t = tbl(rows)
     single = lww_reduce(t).sort_by("url")
-    # stage A: split by txn % 4 (the salt), reduce each, then final reduce
-    partials = [lww_reduce(t.filter(pc.equal(pc.bit_wise_and(t["txn_id"], 3), s)))
-                for s in range(4)]
-    two_stage = lww_reduce(pa.concat_tables(partials)).sort_by("url")
-    assert single.equals(two_stage)
+    by_txn = [t.filter(pc.equal(pc.bit_wise_and(t["txn_id"], 3), s))
+              for s in range(4)]
+    by_block = [t.slice(i, 57) for i in range(0, len(t), 57)]
+    for parts in (by_txn, by_block):
+        partials = [lww_reduce(x) for x in parts]
+        assert lww_reduce(pa.concat_tables(partials)).sort_by("url").equals(single)
 
 
 def test_state_as_events_roundtrip():

@@ -1,6 +1,6 @@
 """Property-based correctness: arbitrary event sequences through the full
-replay (random epoch splits, random partition counts, salted or not) must
-equal the sequential oracle. Complements the fixed fixtures with
+replay (random epoch splits, random partition counts, spread or hot keys)
+must equal the sequential oracle. Complements the fixed fixtures with
 hypothesis-driven adversarial cases (re-inserts after delete, multiple
 writes per txn, single-url streams, empty epochs)."""
 
@@ -20,11 +20,15 @@ URLS = [f"https://h.example/p/{i}" for i in range(8)]
 
 
 @st.composite
-def event_log(draw):
+def event_log(draw, hot=False):
+    """Events over URLS; hot=True draws most of them (~80 %) from URLS[0]."""
     n = draw(st.integers(min_value=1, max_value=60))
     rows = []
     for i in range(n):
-        url = draw(st.sampled_from(URLS))
+        if hot and draw(st.integers(min_value=0, max_value=4)) > 0:
+            url = URLS[0]
+        else:
+            url = draw(st.sampled_from(URLS))
         op = draw(st.sampled_from(["I", "U", "U", "D"]))
         rows.append({
             "url": url,
@@ -41,10 +45,11 @@ def event_log(draw):
 
 @settings(max_examples=12, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(rows=event_log(), num_partitions=st.sampled_from([1, 2, 4]),
-       salted=st.booleans(), epochs=st.integers(min_value=1, max_value=3))
-def test_replay_equals_oracle_on_arbitrary_logs(rows, num_partitions, salted,
+@given(data=st.data(), num_partitions=st.sampled_from([1, 2, 4]),
+       hot=st.booleans(), epochs=st.integers(min_value=1, max_value=3))
+def test_replay_equals_oracle_on_arbitrary_logs(data, num_partitions, hot,
                                                 epochs, tmp_path_factory):
+    rows = data.draw(event_log(hot))
     tmp = tmp_path_factory.mktemp("prop")
     events = align_table(pa.Table.from_pylist(rows), EVENT_SCHEMA)
     pages = pa.table({
@@ -66,8 +71,7 @@ def test_replay_equals_oracle_on_arbitrary_logs(rows, num_partitions, salted,
         if len(chunk):
             pq.write_table(chunk, os.path.join(wal, f"events-{e:05d}.parquet"))
     lake = str(tmp / "lake")
-    cfg = ReplayConfig(num_partitions=num_partitions,
-                       num_salts=4 if salted else 0)
+    cfg = ReplayConfig(num_partitions=num_partitions)
     replay(wal, lake, cfg=cfg)
 
     got = Lake(lake).read_all()

@@ -4,13 +4,14 @@
 2. schema equality incl. the promoted content_hash column;
 3. re-running committed work changes nothing (exactly-once);
 4. epoch-by-epoch resume reaches the same final state;
-5. salted hot-url path == unsalted output;
+5. hot-url input (one url owning most events) == oracle;
 6. dirty events respect the error budget.
 """
 
 import os
 import shutil
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
@@ -21,6 +22,8 @@ from dataxray.pipelines.replay import ReplayConfig, replay
 from dataxray.state.manifest import Lake
 
 CFG = GenConfig(n_urls=300, n_events=3_000, n_shards=6, html_mean=48, zipf_s=1.2)
+# Zipf 2: the top url owns ~61 % of the events
+HOT_CFG = GenConfig(n_urls=300, n_events=3_000, n_shards=6, html_mean=48, zipf_s=2.0)
 
 
 @pytest.fixture(scope="module")
@@ -30,12 +33,14 @@ def data_dir(tmp_path_factory):
     return d
 
 
+def _events(cfg):
+    shards = [generate_event_shard(cfg, s) for s in range(cfg.n_shards)]
+    return pa.concat_tables(shards, promote_options="permissive")
+
+
 @pytest.fixture(scope="module")
 def oracle_df():
-    pages = generate_pages(CFG)
-    shards = [generate_event_shard(CFG, s) for s in range(CFG.n_shards)]
-    events = pa.concat_tables(shards, promote_options="permissive")
-    return sequential_oracle(pages, events)
+    return sequential_oracle(generate_pages(CFG), _events(CFG))
 
 
 def lake_df(lake_dir):
@@ -95,12 +100,49 @@ def test_epoch_resume_reaches_same_state(data_dir, oracle_df, tmp_path):
     assert_matches_oracle(lake, oracle_df)
 
 
-def test_salted_path_identical_output(data_dir, oracle_df, tmp_path):
-    lake = str(tmp_path / "lake_salted")
-    replay(os.path.join(data_dir, "events"), lake,
-           pages_path=os.path.join(data_dir, "pages.parquet"),
-           cfg=ReplayConfig(num_partitions=8, num_salts=4))
-    assert_matches_oracle(lake, oracle_df)
+@pytest.fixture(scope="module")
+def hot_dir(tmp_path_factory):
+    d = str(tmp_path_factory.mktemp("hotdata"))
+    write_dataset(d, HOT_CFG, parallel=False)
+    return d
+
+
+@pytest.fixture(scope="module")
+def hot_oracle():
+    return sequential_oracle(generate_pages(HOT_CFG), _events(HOT_CFG))
+
+
+def test_salted_path_identical_output(hot_dir, hot_oracle, tmp_path):
+    """Hot-url input, the case salting once split up: one url owns most
+    events, and the single exchange (the combiner in each split task
+    collapses it to one row per block, the merge reduces those partial
+    winners again) must still match the oracle, with every event counted
+    as applied."""
+    events = _events(HOT_CFG)
+    top = max(events["url"].value_counts().field("counts").to_pylist())
+    assert top > 0.5 * len(events)
+    lake = str(tmp_path / "lake_hot")
+    rep = replay(os.path.join(hot_dir, "events"), lake,
+                 pages_path=os.path.join(hot_dir, "pages.parquet"),
+                 cfg=ReplayConfig(num_partitions=8))
+    assert_matches_oracle(lake, hot_oracle)
+    assert rep.read_succeed_records == HOT_CFG.n_urls + len(events)
+
+
+def test_auto_salted_path_identical_output(hot_dir, hot_oracle, tmp_path):
+    """Hot-url input delivered one WAL shard per epoch at P=21 (uneven and
+    width-1 fan-out groups): each epoch's combiner keeps its own partial
+    winner for the hot url, and the lake must still end at the oracle
+    state, as it did when per-batch salting decisions varied."""
+    lake = str(tmp_path / "lake_hot_epochs")
+    epochs = str(tmp_path / "epochs")
+    os.makedirs(epochs)
+    cfg = ReplayConfig(num_partitions=21)
+    replay(None, lake, pages_path=os.path.join(hot_dir, "pages.parquet"), cfg=cfg)
+    for f in sorted(os.listdir(os.path.join(hot_dir, "events"))):
+        shutil.copy(os.path.join(hot_dir, "events", f), os.path.join(epochs, f))
+        replay(epochs, lake, cfg=cfg)
+    assert_matches_oracle(lake, hot_oracle)
 
 
 def test_commit_label_dedup(tmp_path):
@@ -142,17 +184,6 @@ def test_error_budget_enforced(tmp_path):
     assert n == rep.total_error_records
 
 
-def test_auto_salted_path_identical_output(data_dir, oracle_df, tmp_path):
-    """Heavy-hitter auto-salting must not change results (stage B re-reduces
-    per url, so per-batch salting decisions are correctness-neutral)."""
-    lake = str(tmp_path / "lake_autosalt")
-    replay(os.path.join(data_dir, "events"), lake,
-           pages_path=os.path.join(data_dir, "pages.parquet"),
-           cfg=ReplayConfig(num_partitions=8, num_salts=4, auto_salt=True,
-                            hot_frac=0.005))
-    assert_matches_oracle(lake, oracle_df)
-
-
 def test_dirty_rows_carry_reasons(tmp_path):
     import glob
 
@@ -173,76 +204,74 @@ def test_dirty_rows_carry_reasons(tmp_path):
 
 
 def test_direct_exchange_matches_oracle(data_dir, oracle_df, tmp_path):
-    """Both exchange implementations must produce identical lake state
-    (direct is the default since round 3; this keeps the sort shuffle path
-    regression-covered too)."""
-    for exchange in ("direct", "sort"):
-        lake = str(tmp_path / f"lake_{exchange}")
-        rep = replay(os.path.join(data_dir, "events"), lake,
-                     pages_path=os.path.join(data_dir, "pages.parquet"),
-                     cfg=ReplayConfig(num_partitions=8, exchange=exchange))
-        assert rep.partitions_committed == 8
-        assert_matches_oracle(lake, oracle_df)
-        # incremental no-op on re-delivery through either path too
-        rep2 = replay(os.path.join(data_dir, "events"), lake,
-                      cfg=ReplayConfig(num_partitions=8, exchange=exchange))
-        assert rep2.partitions_committed == 0
+    """The one exchange reaches the oracle state, and re-delivering the same
+    WAL through it is a no-op."""
+    lake = str(tmp_path / "lake")
+    rep = replay(os.path.join(data_dir, "events"), lake,
+                 pages_path=os.path.join(data_dir, "pages.parquet"),
+                 cfg=ReplayConfig(num_partitions=8))
+    assert rep.partitions_committed == 8
+    assert_matches_oracle(lake, oracle_df)
+    rep2 = replay(os.path.join(data_dir, "events"), lake,
+                  cfg=ReplayConfig(num_partitions=8))
+    assert rep2.partitions_committed == 0
 
 
 def test_single_partition_direct_exchange(data_dir, oracle_df, tmp_path):
-    """P=1 exercises the no-split path of the direct exchange (review fix:
-    Ray doesn't unpack num_returns=1 tuples)."""
+    """P=1 is one coarse group of width 1: every split and fan-out task has
+    num_returns=1, so Ray hands back bare ObjectRefs, not lists."""
     lake = str(tmp_path / "lake_p1")
     replay(os.path.join(data_dir, "events"), lake,
            pages_path=os.path.join(data_dir, "pages.parquet"),
-           cfg=ReplayConfig(num_partitions=1, exchange="direct"))
+           cfg=ReplayConfig(num_partitions=1))
     assert_matches_oracle(lake, oracle_df)
 
 
 def test_two_level_exchange_matches_oracle(data_dir, oracle_df, tmp_path):
-    """levels=2 (split -> coarse groups -> fan-out) must produce the exact
-    same lake state as the single-level exchange, including on a P whose
-    sqrt grouping leaves a narrow last group (P=7 -> widths 3,3,1, which
-    exercises the num_returns=1 fan-out shape)."""
-    for p in (8, 7):
+    """Partition counts whose √P grouping leaves a narrow last group reach
+    the oracle state: P=21 -> group widths 5,5,5,5,1 and P=7 -> 3,3,1, so
+    the fan-out runs both uneven and width-1 (num_returns=1) shapes."""
+    from dataxray.stages.exchange import group_edges
+
+    for p, widths in ((21, [5, 5, 5, 5, 1]), (7, [3, 3, 1])):
+        assert np.diff(group_edges(p)).tolist() == widths
         lake = str(tmp_path / f"lake_2l_{p}")
         rep = replay(os.path.join(data_dir, "events"), lake,
                      pages_path=os.path.join(data_dir, "pages.parquet"),
-                     cfg=ReplayConfig(num_partitions=p, exchange="direct",
-                                      exchange_levels=2, exchange_regroup=2))
+                     cfg=ReplayConfig(num_partitions=p))
         assert rep.partitions_committed == p
         assert_matches_oracle(lake, oracle_df)
         rep2 = replay(os.path.join(data_dir, "events"), lake,
-                      cfg=ReplayConfig(num_partitions=p, exchange="direct",
-                                       exchange_levels=2))
+                      cfg=ReplayConfig(num_partitions=p))
         assert rep2.partitions_committed == 0
 
 
 def test_two_level_exchange_unit_semantics(tmp_path):
-    """Unit-level: both exchange shapes deliver every row to exactly its
-    _part's merge, with empty blocks and skewed parts in the mix."""
-    import numpy as np
+    """Unit-level: the exchange delivers every row to exactly its _part's
+    merge, with empty blocks and a skewed part in the mix, from one coarse
+    group (P=1, 2) to several uneven ones (P=3, 13). 37 blocks also make a
+    group's fan-out flush mid-stream (REGROUP=16)."""
     import ray.data
 
     from dataxray.schema import PART_COL
     from dataxray.stages.exchange import direct_exchange
-
-    rng = np.random.default_rng(7)
-    n, p = 5000, 13
-    parts = np.concatenate([rng.integers(0, p, n - 1000),
-                            np.full(1000, 3)]).astype(np.int32)  # skew p=3
-    vals = np.arange(len(parts), dtype=np.int64)
-    t = pa.table({PART_COL: pa.array(parts), "v": pa.array(vals)})
-    want = {int(q): int(vals[parts == q].sum()) for q in range(p)}
 
     def merge_fn(q, tables):
         tot = sum(int(pa.Table.column(x, "v").combine_chunks()
                       .to_numpy().sum()) for x in tables if len(x))
         return {"partition": q, "sum": tot}
 
-    for levels in (1, 2):
+    rng = np.random.default_rng(7)
+    for p in (1, 2, 3, 13):
+        n = 5000
+        hot = min(3, p - 1)
+        parts = np.concatenate([rng.integers(0, p, n - 1000),
+                                np.full(1000, hot)]).astype(np.int32)
+        vals = np.arange(len(parts), dtype=np.int64)
+        t = pa.table({PART_COL: pa.array(parts), "v": pa.array(vals)})
+        want = {int(q): int(vals[parts == q].sum()) for q in range(p)
+                if (parts == q).any()}
         ds = ray.data.from_arrow(t).repartition(37)  # force empty/small blocks
         got = {m["partition"]: m["sum"]
-               for m in direct_exchange(ds, p, lambda q, ts: merge_fn(q, ts),
-                                        {}, levels=levels, regroup=3)}
-        assert got == {q: s for q, s in want.items()}, levels
+               for m in direct_exchange(ds, p, merge_fn, {})}
+        assert got == want, p

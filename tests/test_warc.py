@@ -163,3 +163,36 @@ def test_warcreader_lakewriter_cli_job(tmp_path):
     assert len(state) == len({r["url"] for r in ROWS})
     texts = dict(zip(state["url"].to_pylist(), state["text"].to_pylist()))
     assert texts[ROWS[1]["url"]] == "t1 page 1 & text"
+    assert os.listdir(tmp_path / "stage")  # a given stagingDir is kept
+
+
+def test_warcreader_lakewriter_default_staging_removed(tmp_path, monkeypatch):
+    """Without stagingDir the job decodes the crawl into its own temporary
+    dir; a successful replay removes it instead of leaking one decoded copy
+    of the crawl per run."""
+    from dataxray.cli import run_job
+    from dataxray.pipelines import ingest
+    from dataxray.state.manifest import Lake
+
+    staged = []
+    real_warc_to_wal = ingest.warc_to_wal
+
+    def recording_warc_to_wal(files, staging, **kw):
+        staged.append(staging)
+        return real_warc_to_wal(files, staging, **kw)
+
+    monkeypatch.setattr(ingest, "warc_to_wal", recording_warc_to_wal)
+    (tmp_path / "crawl").mkdir()
+    (tmp_path / "crawl" / "c.warc.gz").write_bytes(
+        build_warc_bytes(ROWS, gzip_members=True))
+    lake = str(tmp_path / "lake")
+    job = {"job": {"content": [{
+        "reader": {"name": "warcreader",
+                   "parameter": {"path": str(tmp_path / "crawl" / "*")}},
+        "writer": {"name": "lakewriter",
+                   "parameter": {"path": lake, "numPartitions": 4}},
+    }]}}
+    run_job(job)
+    assert len(Lake(lake).read_all()) == len({r["url"] for r in ROWS})
+    assert len(staged) == 1
+    assert not os.path.exists(staged[0])
