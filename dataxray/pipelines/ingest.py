@@ -30,6 +30,19 @@ import pyarrow.compute as pc
 from .replay import ReplayConfig, replay
 
 
+def _utf8_lossy(html: pa.ChunkedArray) -> pa.ChunkedArray:
+    """Page bytes as text: the fast validating cast when every page is valid
+    UTF-8, else a per-page decode with U+FFFD for the invalid bytes (crawled
+    pages routinely carry stray Latin-1 or binary bytes, and one of them
+    must not fail the whole decode task)."""
+    try:
+        return pc.cast(html, pa.string())
+    except pa.ArrowInvalid:
+        return pa.chunked_array([pa.array(
+            [None if b is None else b.decode("utf-8", "replace")
+             for b in html.to_pylist()], pa.string())])
+
+
 def warc_to_wal(files: list[str] | str, staging_dir: str,
                 extract_text: bool = True) -> str:
     """Decode WARC file(s) into WAL parquet shards under ``staging_dir``:
@@ -45,8 +58,8 @@ def warc_to_wal(files: list[str] | str, staging_dir: str,
     def to_wal(t: pa.Table) -> pa.Table:
         ts = pc.cast(t["warc_ts"], pa.timestamp("us"))
         txn = pc.cast(ts, pa.int64())
-        text = (html_to_text(pc.cast(t["html"], pa.string()))
-                if extract_text else pc.cast(t["html"], pa.string()))
+        html = _utf8_lossy(t["html"])
+        text = html_to_text(html) if extract_text else html
         n = len(t)
         return pa.table({
             "url": pc.cast(t["url"], pa.string()),

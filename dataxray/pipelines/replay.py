@@ -5,21 +5,34 @@ This is the engine's flagship pipeline — the Ray-Data re-expression of a
 DataX reader→transformer→writer job (JobContainer.start, §3.1 of SURVEY.md)
 crossed with otsstreamreader's checkpointed change-stream replay (§3.3):
 
-    read_parquet(event shards, footer-pruned by watermark, unified schema)
-      → map_batches(Validate)           # dirty side-channel + error budget
-      → map_batches(align to evolved schema)
+    event shards, footer-pruned by watermark, unified schema (+ base pages)
+      → Validate                        # dirty side-channel + error budget
+      → align to evolved schema
       → direct_exchange                 # THE shuffle (stages/exchange.py)
-          split task:   AssignPartition  # _part = hash(url) % P
-                        → BatchCombiner  # pre-shuffle LWW combiner
-                        → √P coarse groups
-          fan-out task: group → per-partition slices
-          merge task:   _merge_tables    # per-partition LWW merge + stage-write
+          _AssignCombineFuse:  AssignPartition  # _part = hash(url) % P
+                               → BatchCombiner  # pre-shuffle LWW combiner
+          split_by_part / √P coarse groups → per-partition slices
+          _merge_tables                 # per-partition LWW merge + stage-write
       → driver: label-deduped manifest commits (exactly-once)
 
-Everything streams: the only driver-side materialization is one small
-metadata row per touched partition. Untouched partitions are never read or
-rewritten (incremental replay prunes at the file level by the global low
-watermark and per-partition by manifest txn_hi).
+Two executors run that same chain of stage callables, chosen per epoch by
+its input size — the footer-known bytes of the WAL files plus base pages
+being replayed:
+
+  * ≤ LOCAL_INPUT_BYTES (1 MiB, e.g. a tail epoch of a few WAL segments):
+    in the driver process. The files are read with pyarrow and every stage
+    runs once over whole tables; starting a Ray Data plan plus a split,
+    fan-out and per-partition merge task wave costs several times the
+    work itself at this size.
+  * larger: distributed. Everything streams through Ray Data map stages
+    into the raw-task two-level exchange; the only driver-side
+    materialization is one small metadata row per touched partition.
+
+Both feed the same commit loop, so exactly-once, watermark filtering, the
+dirty side-channel, the error budget and schema evolution have one
+implementation. Untouched partitions are never read or rewritten
+(incremental replay prunes at the file level by the global low watermark
+and per-partition by manifest txn_hi).
 """
 
 from __future__ import annotations
@@ -40,6 +53,17 @@ from ..stages.merge import BatchCombiner, lww_reduce, merge_partition
 from ..stages.partition import AssignPartition
 from ..state.checkpoint import RunReport, global_low_watermark
 from ..state.manifest import Lake
+
+# Epochs whose input is at most this many bytes run in the driver process.
+# One post-bootstrap delta epoch on a 14k-url, P = 32 lake, one Ray CPU of
+# a shared cloud VM, 3 runs each: 40 KB took 0.14-0.19 s in the driver vs
+# 0.33-0.41 s distributed, 0.76 MB 0.17-0.20 vs 0.41-0.46 s, 3 MB
+# 0.26-0.28 vs 1.7-1.9 s. The cutoff sits below that crossover on purpose:
+# on a cluster the distributed merges run in parallel and the input never
+# passes through driver memory, so bootstraps and chunked backlogs (MBs)
+# stay distributed.
+LOCAL_INPUT_BYTES = 1 << 20
+THROTTLE_BATCH = 8192  # rows per RateLimiter call
 
 
 @dataclass(frozen=True)
@@ -75,8 +99,9 @@ def _tune_read_parallelism() -> None:
 def _merge_tables(p: int, tables: list[pa.Table], lake_root: str, run_id: str,
                   wm: dict, target: pa.Schema, sink_mode: str = "rewrite",
                   compact_threshold: int = 8, monitor=None) -> dict:
-    """Per-partition final merge, one exchange merge task each: filter by the
-    partition watermark, stage new state, return small commit metadata.
+    """Per-partition final merge, one exchange merge call each (a Ray task,
+    or in the driver for a small epoch): filter by the partition watermark,
+    stage new state, return small commit metadata.
 
     sink_mode="rewrite": fold in current state, produce the resolved
     partition (one base file). sink_mode="delta": write ONLY this epoch's
@@ -128,7 +153,7 @@ def _merge_tables(p: int, tables: list[pa.Table], lake_root: str, run_id: str,
 
 class _AssignCombineFuse:
     """Per-block assign-partition + LWW-combine, fused into the direct
-    exchange's split task (see direct_exchange fuse_fn)."""
+    exchange's split step (see direct_exchange fuse_fn)."""
 
     def __init__(self, num_partitions: int):
         self.assign = AssignPartition(num_partitions)
@@ -164,18 +189,74 @@ def _warn_if_backlog_exceeds_memory(files) -> None:
         )
 
 
-def _pages_as_events(pages_ds, target: pa.Schema):
+def _pages_as_events(batch: pa.Table, target: pa.Schema) -> pa.Table:
     """Bootstrap: lift the base web-page table into the event stream at
     (txn_id=0, seq=0, op='I') — base state is just the oldest write."""
+    n = len(batch)
+    batch = batch.append_column("txn_id", pa.nulls(n, pa.int64()).fill_null(0))
+    batch = batch.append_column("seq", pa.nulls(n, pa.int64()).fill_null(0))
+    batch = batch.append_column("op", pa.nulls(n, pa.string()).fill_null(OP_INSERT))
+    return align_table(batch, target)
 
-    def lift(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        batch = batch.append_column("txn_id", pa.nulls(n, pa.int64()).fill_null(0))
-        batch = batch.append_column("seq", pa.nulls(n, pa.int64()).fill_null(0))
-        batch = batch.append_column("op", pa.nulls(n, pa.string()).fill_null(OP_INSERT))
-        return align_table(batch, target)
 
-    return pages_ds.map_batches(lift, batch_format="pyarrow")
+def _event_dataset(streams, target: pa.Schema, dirty_dir, cfg: ReplayConfig):
+    """Distributed executor's input: the streams as one Ray Dataset of
+    validated, aligned events, throttled by a pool of limiter actors."""
+    import ray.data
+
+    ds = None
+    for kind, src in streams:
+        if kind == "pages":
+            s = ray.data.read_parquet(src).map_batches(
+                _pages_as_events, fn_kwargs={"target": target},
+                batch_format="pyarrow")
+        else:
+            s = src.map_batches(Validate(dirty_dir), batch_format="pyarrow",
+                                batch_size=cfg.batch_size)
+            s = s.map_batches(lambda t, tgt=target: align_table(t, tgt),
+                              batch_format="pyarrow", batch_size=cfg.batch_size)
+        ds = s if ds is None else ds.union(s)
+
+    if cfg.records_per_sec or cfg.bytes_per_sec:
+        from ..stages.ratelimit import RateLimiter
+
+        throttle_conc = 4  # global cap split across concurrent limiter actors
+        ds = ds.map_batches(
+            RateLimiter,
+            fn_constructor_args=(
+                cfg.records_per_sec / throttle_conc if cfg.records_per_sec else None,
+                cfg.bytes_per_sec / throttle_conc if cfg.bytes_per_sec else None,
+            ),
+            batch_format="pyarrow", batch_size=THROTTLE_BATCH,
+            concurrency=throttle_conc,
+            num_cpus=0.25,  # limiter actors mostly sleep; reserving whole
+            # CPUs would starve the read/merge tasks on small clusters
+        )
+    return ds
+
+
+def _event_tables(streams, target: pa.Schema, dirty_dir,
+                  cfg: ReplayConfig) -> list[pa.Table]:
+    """In-process executor's input: the same stages as _event_dataset, run
+    in the driver over whole tables (events already read with pyarrow by
+    wal.read_events); one limiter holds the full cap."""
+    import pyarrow.parquet as pq
+
+    tables = []
+    for kind, src in streams:
+        if kind == "pages":
+            tables.append(_pages_as_events(pq.read_table(src), target))
+        else:
+            tables.append(align_table(Validate(dirty_dir)(src), target))
+
+    if cfg.records_per_sec or cfg.bytes_per_sec:
+        from ..stages.ratelimit import RateLimiter
+
+        limiter = RateLimiter(cfg.records_per_sec, cfg.bytes_per_sec)
+        for t in tables:
+            for i in range(0, len(t), THROTTLE_BATCH):
+                limiter(t.slice(i, THROTTLE_BATCH))
+    return tables
 
 
 def replay(
@@ -220,7 +301,8 @@ def replay(
 
     watermarks = lake.watermarks() if not bootstrap else {}
     low = global_low_watermark(watermarks, cfg.num_partitions) if not bootstrap else 0
-    if not bootstrap and pages_path is None:
+    if not bootstrap and pages_path is None \
+            and len(watermarks) < cfg.num_partitions:
         # crash-safe bootstrap resume: if a prior run died before every
         # partition committed, fold the recorded base pages back in
         pages_path = lake.bootstrap_pages()
@@ -228,30 +310,40 @@ def replay(
         bootstrap or len(watermarks) < cfg.num_partitions
     )
 
-    # ---- source(s) ----
-    streams = []
+    # ---- source(s), and the executor sized to them (module docstring) ----
+    streams = []  # ("events", Dataset | Table) | ("pages", path)
     schemas = []
     rows_hint = 0
     txn_hi_run = low
+    # resolve the source ONCE (a dir path — local or object-store — or a
+    # pre-scanned cluster-visible file list from replay_chunked)
+    ev_files = ([] if events_dir is None
+                else wal.prune_files(wal.resolve_files(events_dir), low))
+    input_bytes = sum(f.nbytes for f in ev_files)  # footer-known sizes
+    if include_pages:
+        import pyarrow.parquet as pq
+
+        md = pq.read_metadata(pages_path)
+        rows_hint += md.num_rows
+        input_bytes += sum(md.row_group(i).column(j).total_compressed_size
+                           for i in range(md.num_row_groups)
+                           for j in range(md.num_columns))
+    local = input_bytes <= LOCAL_INPUT_BYTES
+    report.executor = "local" if local else "distributed"
+    report.input_bytes = input_bytes
     if events_dir is not None:
-        # resolve the source ONCE (a dir path — local or object-store — or a
-        # pre-scanned cluster-visible file list from replay_chunked)
-        ev_files = wal.prune_files(wal.resolve_files(events_dir), low)
-        ev_ds, ev_schema, n, txn_hi_run = wal.read_events(ev_files, low_watermark=low)
-        if ev_ds is not None:
-            _warn_if_backlog_exceeds_memory(ev_files)
-            streams.append(("events", ev_ds))
+        ev, ev_schema, n, txn_hi_run = wal.read_events(
+            ev_files, low_watermark=low, in_process=local)
+        if ev is not None:
+            if not local:
+                _warn_if_backlog_exceeds_memory(ev_files)
+            streams.append(("events", ev))
             schemas.append(ev_schema)
             rows_hint += n
     if include_pages:
-        import pyarrow.parquet as pq
-        import ray.data
-
-        pages_ds = ray.data.read_parquet(pages_path)
         page_schema = pq.read_schema(pages_path)
         schemas.append(pa.schema(list(page_schema) + [pa.field(n, t) for n, t in META_FIELDS]))
-        streams.append(("pages", pages_ds))
-        rows_hint += pq.read_metadata(pages_path).num_rows
+        streams.append(("pages", pages_path))
 
     if bootstrap:
         target = unify(schemas) if schemas else None
@@ -266,32 +358,8 @@ def replay(
         if not target.equals(lake.event_schema()):
             lake.evolve_schema(target)  # additive promotion, safe pre-commit
 
-    # ---- assemble the dataset ----
-    ds = None
-    for kind, s in streams:
-        if kind == "pages":
-            s = _pages_as_events(s, target)
-        else:
-            s = s.map_batches(Validate(dirty_dir), batch_format="pyarrow",
-                              batch_size=cfg.batch_size)
-            s = s.map_batches(lambda t, tgt=target: align_table(t, tgt),
-                              batch_format="pyarrow", batch_size=cfg.batch_size)
-        ds = s if ds is None else ds.union(s)
-
-    if cfg.records_per_sec or cfg.bytes_per_sec:
-        from ..stages.ratelimit import RateLimiter
-
-        throttle_conc = 4  # global cap split across concurrent limiter actors
-        ds = ds.map_batches(
-            RateLimiter,
-            fn_constructor_args=(
-                cfg.records_per_sec / throttle_conc if cfg.records_per_sec else None,
-                cfg.bytes_per_sec / throttle_conc if cfg.bytes_per_sec else None,
-            ),
-            batch_format="pyarrow", batch_size=8192, concurrency=throttle_conc,
-            num_cpus=0.25,  # limiter actors mostly sleep; reserving whole
-            # CPUs would starve the read/merge tasks on small clusters
-        )
+    events = (_event_tables if local else _event_dataset)(
+        streams, target, dirty_dir, cfg)
 
     lake_root, wm, tgt = lake.root, dict(watermarks), target
     watchdog = None
@@ -305,12 +373,12 @@ def replay(
                         compact_threshold=cfg.compact_threshold,
                         monitor=watchdog.monitor if watchdog else None)
 
-    # assign + combine run INSIDE the exchange's split task (no separate
+    # assign + combine run INSIDE the exchange's split step (no separate
     # map stage, one less plasma round-trip per block). direct_exchange and
     # _merge_tables are looked up at call time so they can be wrapped
     from ..stages.exchange import direct_exchange
 
-    meta_rows = direct_exchange(ds, cfg.num_partitions, _merge_tables,
+    meta_rows = direct_exchange(events, cfg.num_partitions, _merge_tables,
                                 merge_kwargs,
                                 fuse_fn=_AssignCombineFuse(cfg.num_partitions))
 

@@ -139,6 +139,7 @@ def read_events(
     source,
     low_watermark: int = 0,
     columns: list[str] | None = None,
+    in_process: bool = False,
     **read_kwargs,
 ):
     """ray.data.Dataset of events with txn > low_watermark (file-granular
@@ -150,17 +151,25 @@ def read_events(
     the files read — after a successful replay EVERY partition's watermark
     may advance to it, even partitions that saw no rows (they provably have
     no events ≤ txn_hi).
-    """
-    import ray.data
 
+    ``in_process=True`` returns one Arrow table read here with pyarrow
+    instead of the Dataset (the replay's small-epoch executor): the same
+    files against the same unified schema, without planning a Ray read.
+    """
     files = prune_files(resolve_files(source), low_watermark)
     if not files:
         return None, None, 0, low_watermark
     schema = unified_schema(files)
-    ds = ray.data.read_parquet(
-        [f.path for f in files], schema=schema, columns=columns,
-        filesystem=filesystem_for(files[0].fs_scheme), **read_kwargs
-    )
+    paths = [f.path for f in files]
+    pafs = filesystem_for(files[0].fs_scheme)
+    if in_process:
+        data = pq.read_table(paths, schema=schema, columns=columns,
+                             filesystem=pafs, partitioning=None)
+    else:
+        import ray.data
+
+        data = ray.data.read_parquet(paths, schema=schema, columns=columns,
+                                     filesystem=pafs, **read_kwargs)
     if txn_aligned(files):
         txn_hi = max(f.txn_hi for f in files)
     else:  # conservative: no uniform watermark advance on misaligned logs
@@ -172,4 +181,4 @@ def read_events(
             stacklevel=2,
         )
         txn_hi = low_watermark
-    return ds, schema, sum(f.num_rows for f in files), txn_hi
+    return data, schema, sum(f.num_rows for f in files), txn_hi

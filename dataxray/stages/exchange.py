@@ -1,5 +1,6 @@
 """Direct hash exchange — the write path's one shuffle: a two-level
-partition/merge exchange on raw Ray tasks.
+partition/merge exchange on raw Ray tasks, or the same steps in-process for
+a small epoch.
 
 Why raw tasks: Ray Data's ``groupby(key)`` is a general sort shuffle —
 boundary sampling, per-block sorts, range partitioning. Our merge key is a
@@ -23,6 +24,13 @@ tasks start once every slice has landed (the all-to-all barrier is inherent
 to any shuffle). Objects flow through the local plasma store; on a
 multi-node cluster the same code moves slices over the network via Ray's
 object transfer.
+
+In-process mode: given a list of Arrow tables instead of a Dataset (the
+replay's small-epoch executor, pipelines/replay.py), the driver runs the
+same steps itself — fuse_fn, split_by_part, then merge_fn once per
+non-empty partition — with no task, object or plan. For a tail epoch of a
+few hundred KB, starting the tasks costs more than the merges' own work
+(about 2 ms each), so the caller picks this mode by input size.
 """
 
 from __future__ import annotations
@@ -86,18 +94,39 @@ def _submit(remote_fn, n: int, *args) -> list:
     return [out] if n == 1 else out
 
 
+def _exchange_in_process(tables: list[pa.Table], num_partitions: int,
+                         merge_fn, merge_kwargs: dict, fuse_fn) -> list:
+    """direct_exchange over in-memory tables, entirely in this process."""
+    per_part: list[list] = [[] for _ in range(num_partitions)]
+    for t in tables:
+        if not len(t):
+            continue
+        if fuse_fn is not None:
+            t = fuse_fn(t)
+        for p, s in enumerate(split_by_part(t, num_partitions)):
+            if len(s):
+                per_part[p].append(s)
+    return [merge_fn(p, parts, **merge_kwargs)
+            for p, parts in enumerate(per_part) if parts]
+
+
 def direct_exchange(ds, num_partitions: int, merge_fn, merge_kwargs: dict,
                     fuse_fn=None):
-    """Run the partition exchange + per-partition merge with raw Ray tasks.
+    """Run the partition exchange + per-partition merge with raw Ray tasks,
+    or in this process when ``ds`` is a list of Arrow tables.
 
-    ``merge_fn(p, tables, **merge_kwargs)`` runs remotely once per non-empty
-    partition and returns a small metadata dict. Returns the list of results.
+    ``merge_fn(p, tables, **merge_kwargs)`` runs once per non-empty
+    partition (remotely for a Dataset) and returns a small metadata dict.
+    Returns the list of results.
 
     ``fuse_fn`` (optional, picklable block→block callable that appends
     ``_part``) runs INSIDE each split task before splitting, so the last map
     stage's output block is never written to the store as its own object.
     Without it the blocks must already carry ``_part``.
     """
+    if isinstance(ds, list):
+        return _exchange_in_process(ds, num_partitions, merge_fn,
+                                    merge_kwargs, fuse_fn)
     import os
     import time
 

@@ -29,6 +29,8 @@ class RunReport:
     record_speed: float = 0.0  # events/s (the headline metric)
     partition_lag: dict = field(default_factory=dict)  # part -> txn_hi
     stalled_partitions: list = field(default_factory=list)  # watchdog flags
+    executor: str = ""  # "local" (in the driver) | "distributed" (Ray tasks)
+    input_bytes: int = 0  # footer-known WAL + page bytes that sized the executor
 
     def finish(self, started: float) -> "RunReport":
         self.elapsed_sec = time.perf_counter() - started

@@ -31,6 +31,7 @@ commit point, no rename anywhere (lakefs.ObjectLakeFS).
 from __future__ import annotations
 
 import base64
+import functools
 import os
 import uuid
 
@@ -59,12 +60,14 @@ class Lake:
         # nodes reconstruct the same backend from the same string
         self.root = root
         self.fs, self.base = lakefs.resolve(root)
-        # generation + evolution epochs, cached per instance: Lake objects
-        # are short-lived (one per task) and the lake is single-writer, so a
-        # stale cache can only happen on the driver instance that itself
-        # called evolve_partitions — which invalidates it
+        # generation + evolution epochs (and the history flag, fixed at
+        # init), cached per instance: Lake objects are short-lived (one per
+        # task) and the lake is single-writer, so a stale cache can only
+        # happen on the driver instance that itself called
+        # evolve_partitions — which invalidates it
         self._gen: int | None = None
         self._epochs: list[dict] | None = None
+        self._history = False
 
     def _p(self, *parts: str) -> str:
         return os.path.join(self.base, *parts)
@@ -75,6 +78,7 @@ class Lake:
             meta = self.meta()
             self._gen = int(meta.get("generation", 0))
             self._epochs = meta.get("partition_epochs", [])
+            self._history = bool(meta.get("history"))
         return self._gen
 
     def partition_epochs(self) -> list[dict]:
@@ -194,29 +198,36 @@ class Lake:
         return os.path.join(self._mdir(gen), f"part-{p:05d}.json")
 
     def history_enabled(self) -> bool:
-        return bool(self.meta().get("history"))
+        self.generation()  # reads the flag with the layout, once
+        return self._history
 
     def _history_dir(self, p: int, gen: int | None = None) -> str:
         return os.path.join(self._mdir(gen), "history", f"part-{p:05d}")
 
-    def versions(self, p: int, gen: int | None = None) -> list[dict]:
-        """All retained committed manifest versions for a partition, oldest
-        first. With history off this is just the current manifest."""
+    def _version_names(self, p: int, gen: int | None = None):
+        """(current manifest, retained history file names oldest first);
+        names is None when the partition keeps no history dir."""
         hdir = self._history_dir(p, gen)
         cur = self.manifest(p, gen)
         if not self.fs.exists(hdir):
-            return [cur] if cur is not None else []
+            return cur, None
         # trust only versions <= the committed current one: a crash between
         # the history PUT and the current-manifest PUT (the commit point) can
-        # leave one newer orphan entry, which the redone commit overwrites
+        # leave one newer orphan entry, which the redone commit overwrites.
+        # The file name carries the version (v-<version>.json)
         cur_v = cur.get("version", -1) if cur else -1
-        out = []
-        for name in sorted(self.fs.list_names(hdir)):
-            if name.startswith("v-") and name.endswith(".json"):
-                v = self.fs.read_json(os.path.join(hdir, name))
-                if v.get("version", 0) <= cur_v:
-                    out.append(v)
-        return out
+        vs = sorted(int(n[2:-5]) for n in self.fs.list_names(hdir)
+                    if n.startswith("v-") and n.endswith(".json"))
+        return cur, [f"v-{v:06d}.json" for v in vs if v <= cur_v]
+
+    def versions(self, p: int, gen: int | None = None) -> list[dict]:
+        """All retained committed manifest versions for a partition, oldest
+        first. With history off this is just the current manifest."""
+        cur, names = self._version_names(p, gen)
+        if names is None:
+            return [cur] if cur is not None else []
+        hdir = self._history_dir(p, gen)
+        return [self.fs.read_json(os.path.join(hdir, n)) for n in names]
 
     def manifest_as_of(self, p: int, as_of_txn: int,
                        gen: int | None = None) -> dict | None:
@@ -225,22 +236,39 @@ class Lake:
         versioned lake). None if the partition had no commit by then; raises
         if the snapshot has been vacuumed away. ``gen`` defaults to the
         generation active at ``as_of_txn`` (time travel across a partition
-        evolution resolves against the OLD layout's manifests)."""
+        evolution resolves against the OLD layout's manifests).
+
+        Binary search over the retained versions: txn_hi never decreases
+        from one version to the next (commits are monotonic, a compaction
+        keeps it), so O(log versions) history reads, not one per version —
+        a change feed on a long-tailed history lake resolves two snapshots
+        per partition."""
         gen = self._resolve_gen(gen, as_of_txn)
-        # one versions() call: it re-lists and re-reads every history JSON,
-        # so resolving it three times made each time-travel lookup O(3×
-        # versions) filesystem reads — expensive on object stores
-        all_vs = self.versions(p, gen)
-        vs = [v for v in all_vs if v["txn_hi"] <= as_of_txn]
-        if vs:
-            return vs[-1]
-        if all_vs:  # partition exists, older snapshots gone
-            first = all_vs[0]
-            if first["txn_hi"] > as_of_txn and first.get("version", 0) > 0:
-                raise ValueError(
-                    f"partition {p}: snapshot as of txn {as_of_txn} was "
-                    f"vacuumed (oldest retained commit is txn {first['txn_hi']})"
-                )
+        cur, names = self._version_names(p, gen)
+        if cur is None or cur["txn_hi"] <= as_of_txn:
+            return cur  # no commit yet, or the newest version is the answer
+        names = names or []
+        hdir = self._history_dir(p, gen)
+
+        @functools.lru_cache(maxsize=None)
+        def at(i: int) -> dict:
+            return self.fs.read_json(os.path.join(hdir, names[i]))
+
+        lo, hi = 0, len(names)  # lo ends as the count with txn_hi <= as_of
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if at(mid)["txn_hi"] <= as_of_txn:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo:
+            return at(lo - 1)
+        oldest = at(0) if names else cur
+        if oldest.get("version", 0) > 0:  # partition exists, older ones gone
+            raise ValueError(
+                f"partition {p}: snapshot as of txn {as_of_txn} was "
+                f"vacuumed (oldest retained commit is txn {oldest['txn_hi']})"
+            )
         return None
 
     def manifest(self, p: int, gen: int | None = None) -> dict | None:

@@ -18,3 +18,24 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+@pytest.fixture(params=["local", "distributed"])
+def executor(request, monkeypatch):
+    """Run the test's replays under one executor: ``LOCAL_INPUT_BYTES`` is
+    raised so every epoch runs in the driver, or zeroed so every epoch runs
+    distributed, whatever its size."""
+    from dataxray.pipelines import replay
+
+    monkeypatch.setattr(replay, "LOCAL_INPUT_BYTES",
+                        1 << 40 if request.param == "local" else 0)
+    return request.param
+
+
+@pytest.fixture
+def distributed(monkeypatch):
+    """Pin the replay to the distributed executor for tests whose inputs
+    are small but which exercise the exchange's task fan-out shapes."""
+    from dataxray.pipelines import replay
+
+    monkeypatch.setattr(replay, "LOCAL_INPUT_BYTES", 0)

@@ -30,6 +30,7 @@ def test_fake_multinode_cluster_matches_single_node():
     assert d["cpus_total"] == 32
     assert d["replay_equal"] is True
     assert d["replay_chunks"] >= 2  # the backlog really was chunked
+    assert d["replay_executors"] == ["distributed"]  # through the exchange
     assert d["pagerank_equal"] is True
     assert d["minhash_equal"] is True
     assert d["task_nodes"] >= 2  # engine tasks spread across raylets

@@ -112,6 +112,7 @@ def hot_oracle():
     return sequential_oracle(generate_pages(HOT_CFG), _events(HOT_CFG))
 
 
+@pytest.mark.usefixtures("distributed")
 def test_salted_path_identical_output(hot_dir, hot_oracle, tmp_path):
     """Hot-url input, the case salting once split up: one url owns most
     events, and the single exchange (the combiner in each split task
@@ -129,6 +130,7 @@ def test_salted_path_identical_output(hot_dir, hot_oracle, tmp_path):
     assert rep.read_succeed_records == HOT_CFG.n_urls + len(events)
 
 
+@pytest.mark.usefixtures("distributed")
 def test_auto_salted_path_identical_output(hot_dir, hot_oracle, tmp_path):
     """Hot-url input delivered one WAL shard per epoch at P=21 (uneven and
     width-1 fan-out groups): each epoch's combiner keeps its own partial
@@ -217,6 +219,7 @@ def test_direct_exchange_matches_oracle(data_dir, oracle_df, tmp_path):
     assert rep2.partitions_committed == 0
 
 
+@pytest.mark.usefixtures("distributed")
 def test_single_partition_direct_exchange(data_dir, oracle_df, tmp_path):
     """P=1 is one coarse group of width 1: every split and fan-out task has
     num_returns=1, so Ray hands back bare ObjectRefs, not lists."""
@@ -227,6 +230,7 @@ def test_single_partition_direct_exchange(data_dir, oracle_df, tmp_path):
     assert_matches_oracle(lake, oracle_df)
 
 
+@pytest.mark.usefixtures("distributed")
 def test_two_level_exchange_matches_oracle(data_dir, oracle_df, tmp_path):
     """Partition counts whose √P grouping leaves a narrow last group reach
     the oracle state: P=21 -> group widths 5,5,5,5,1 and P=7 -> 3,3,1, so
@@ -250,7 +254,8 @@ def test_two_level_exchange_unit_semantics(tmp_path):
     """Unit-level: the exchange delivers every row to exactly its _part's
     merge, with empty blocks and a skewed part in the mix, from one coarse
     group (P=1, 2) to several uneven ones (P=3, 13). 37 blocks also make a
-    group's fan-out flush mid-stream (REGROUP=16)."""
+    group's fan-out flush mid-stream (REGROUP=16). A list of tables runs
+    the same exchange in-process."""
     import ray.data
 
     from dataxray.schema import PART_COL
@@ -274,4 +279,9 @@ def test_two_level_exchange_unit_semantics(tmp_path):
         ds = ray.data.from_arrow(t).repartition(37)  # force empty/small blocks
         got = {m["partition"]: m["sum"]
                for m in direct_exchange(ds, p, merge_fn, {})}
+        assert got == want, p
+        # in-process mode: the same tables, no tasks
+        blocks = [t.slice(i, 700) for i in range(0, len(t), 700)] + [t.slice(0, 0)]
+        got = {m["partition"]: m["sum"]
+               for m in direct_exchange(blocks, p, merge_fn, {})}
         assert got == want, p

@@ -322,3 +322,86 @@ def test_incremental_window_stats_equals_full(tmp_path, scheme):
                                 width).sort_by("window")
     assert inc.to_pydict() == full.to_pydict()
     assert inc.num_rows > 1  # multiple buckets actually exercised
+
+
+def test_manifest_as_of_reads_log_versions(tmp_path, scheme):
+    """manifest_as_of binary-searches the retained versions: on a 130-version
+    history (data, watermark and same-txn compaction commits) it answers
+    every as-of txn exactly like a linear scan over versions(), with
+    O(log versions) JSON reads, and keeps the vacuumed / orphan rules."""
+    import numpy as np
+
+    L = Lake(scheme + str(tmp_path / "lake"))
+    t = pa.table({"url": ["a"], "txn_id": [1], "seq": [0], "op": ["I"]})
+    L.init(1, t.schema, history=True)
+    rng = np.random.default_rng(5)
+    txn = 0
+    for i in range(130):
+        if i % 9 == 4:
+            mode = "compact"  # same txn_hi as the previous version
+        else:
+            txn += int(rng.integers(1, 4))
+            mode = ("rewrite", "delta", "watermark")[i % 3]
+        staged = [] if mode == "watermark" else \
+            L.write_staged(f"r{i}", 0, t)["staged"]
+        assert L.commit(0, txn, staged, 1, 1, f"r{i}", mode=mode) == "committed"
+
+    def linear(as_of):
+        vs = [v for v in L.versions(0) if v["txn_hi"] <= as_of]
+        return vs[-1] if vs else None
+
+    def counted(as_of):
+        """(manifest_as_of answer, JSON reads it took) on a fresh Lake."""
+        lk = Lake(L.root)
+        real, n = lk.fs.read_json, [0]
+
+        def read_json(path):
+            n[0] += 1
+            return real(path)
+
+        lk.fs.read_json = read_json
+        return lk.manifest_as_of(0, as_of), n[0]
+
+    n_versions = len(L.versions(0))
+    assert n_versions == 130
+    # _meta.json + current manifest + the search's probes
+    bound = 2 + int(np.ceil(np.log2(n_versions))) + 1
+    for as_of in range(-1, txn + 2):
+        got, reads = counted(as_of)
+        assert got == linear(as_of), as_of
+        assert reads <= bound, (as_of, reads)
+
+    # a crash-orphaned newer version is never served
+    cur = L.manifest(0)
+    orphan = {**cur, "version": cur["version"] + 1, "txn_hi": txn + 50}
+    L.fs.put_json(os.path.join(L._history_dir(0),
+                               f"v-{orphan['version']:06d}.json"), orphan)
+    assert counted(txn + 60)[0] == cur
+    # vacuumed snapshots raise, retained ones still resolve
+    L.vacuum(retain_last=40)
+    oldest = L.versions(0)[0]
+    assert counted(oldest["txn_hi"])[0] == linear(oldest["txn_hi"])
+    with pytest.raises(ValueError, match="vacuumed"):
+        counted(oldest["txn_hi"] - 1)
+
+
+def test_history_flag_read_once_per_lake(tmp_path, scheme):
+    """commit() consults the history flag on every call; it is fixed at
+    init, so a Lake reads _meta.json for it at most once."""
+    root = scheme + str(tmp_path / "lake")
+    t = pa.table({"url": ["a"], "txn_id": [1], "seq": [0], "op": ["I"]})
+    Lake(root).init(1, t.schema, history=True)
+    L = Lake(root)
+    real, meta_reads = L.fs.read_json, []
+
+    def read_json(path):
+        if path.endswith("_meta.json"):
+            meta_reads.append(path)
+        return real(path)
+
+    L.fs.read_json = read_json
+    for txn in range(1, 11):
+        L.commit(0, txn, L.write_staged(f"r{txn}", 0, t)["staged"], 1, 1,
+                 f"r{txn}", mode="delta")
+    assert len(meta_reads) <= 1
+    assert len(L.versions(0)) == 10

@@ -196,3 +196,22 @@ def test_warcreader_lakewriter_default_staging_removed(tmp_path, monkeypatch):
     assert len(Lake(lake).read_all()) == len({r["url"] for r in ROWS})
     assert len(staged) == 1
     assert not os.path.exists(staged[0])
+
+
+def test_warc_to_wal_decodes_invalid_utf8_lossily(tmp_path):
+    """A response body with bytes that are not UTF-8 (here a stray 0xFF)
+    decodes with U+FFFD in their place instead of failing the decode task;
+    the valid pages of the same file keep their exact text."""
+    import pyarrow.parquet as pq
+
+    from dataxray.pipelines.ingest import warc_to_wal
+
+    bad = {"url": "https://s/bad", "warc_ts": datetime(2026, 1, 1, 0, 0, 9),
+           "html": b"<html><body>caf\xff au lait</body></html>"}
+    (tmp_path / "c.warc").write_bytes(build_warc_bytes(ROWS[:2] + [bad]))
+    out = str(tmp_path / "wal")
+    warc_to_wal([str(tmp_path / "c.warc")], out)
+    t = pq.read_table(out)
+    got = dict(zip(t["url"].to_pylist(), t["text"].to_pylist()))
+    assert got["https://s/bad"] == "caf� au lait"
+    assert got[ROWS[1]["url"]] == "t1 page 1 & text"

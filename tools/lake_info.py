@@ -82,7 +82,9 @@ def main() -> None:
             print(f"  {r['run_id']}: read={r['read_succeed_records']:,} "
                   f"wrote={r['write_succeed_records']:,} "
                   f"committed={r['partitions_committed']} txn_hi={r['txn_hi']} "
-                  f"{r['record_speed']:,.0f} ev/s  dirty={r['total_error_records']}")
+                  f"{r['record_speed']:,.0f} ev/s  dirty={r['total_error_records']}  "
+                  f"executor={r.get('executor') or '?'} "
+                  f"input={r.get('input_bytes', 0):,} B")
 
 
 if __name__ == "__main__":

@@ -88,6 +88,9 @@ def main() -> int:
                 max_chunk_bytes=max(1, wal_bytes // 3))
             out["replay_sec"] = round(time.perf_counter() - t0, 3)
             out["replay_chunks"] = len(reports)
+            # executors the chunks ran on: each chunk is ~3 MB, over the
+            # in-process cutoff, so all of them use the cross-node exchange
+            out["replay_executors"] = sorted({r.executor for r in reports})
 
             got = Lake(lake).read_all().to_pandas() \
                 .sort_values("url").reset_index(drop=True)
