@@ -19,7 +19,8 @@ Two executors run that same chain of stage callables, chosen per epoch by
 its input size — the footer-known bytes of the WAL files plus base pages
 being replayed:
 
-  * ≤ LOCAL_INPUT_BYTES (1 MiB, e.g. a tail epoch of a few WAL segments):
+  * ≤ LOCAL_INPUT_BYTES (1 MiB, state/manifest.py — the one cutoff the
+    lake's read paths use too; e.g. a tail epoch of a few WAL segments):
     in the driver process. The files are read with pyarrow and every stage
     runs once over whole tables; starting a Ray Data plan plus a split,
     fan-out and per-partition merge task wave costs several times the
@@ -52,17 +53,8 @@ from ..stages.decode import Validate
 from ..stages.merge import BatchCombiner, lww_reduce, merge_partition
 from ..stages.partition import AssignPartition
 from ..state.checkpoint import RunReport, global_low_watermark
-from ..state.manifest import Lake
+from ..state.manifest import Lake, in_driver
 
-# Epochs whose input is at most this many bytes run in the driver process.
-# One post-bootstrap delta epoch on a 14k-url, P = 32 lake, one Ray CPU of
-# a shared cloud VM, 3 runs each: 40 KB took 0.14-0.19 s in the driver vs
-# 0.33-0.41 s distributed, 0.76 MB 0.17-0.20 vs 0.41-0.46 s, 3 MB
-# 0.26-0.28 vs 1.7-1.9 s. The cutoff sits below that crossover on purpose:
-# on a cluster the distributed merges run in parallel and the input never
-# passes through driver memory, so bootstraps and chunked backlogs (MBs)
-# stay distributed.
-LOCAL_INPUT_BYTES = 1 << 20
 THROTTLE_BATCH = 8192  # rows per RateLimiter call
 
 
@@ -328,7 +320,7 @@ def replay(
         input_bytes += sum(md.row_group(i).column(j).total_compressed_size
                            for i in range(md.num_row_groups)
                            for j in range(md.num_columns))
-    local = input_bytes <= LOCAL_INPUT_BYTES
+    local = in_driver(input_bytes)
     report.executor = "local" if local else "distributed"
     report.input_bytes = input_bytes
     if events_dir is not None:

@@ -311,8 +311,8 @@ def lake_predicate_scan(sf_dir: str) -> pa.Table:
     """Delta-aware predicate pushdown (state/predicate.py): replay the WAL
     in two delta epochs (so the lake holds delta-bearing partitions), then
     scan the snapshot with a pushed url-range predicate — footer-stats
-    file/partition pruning, Arrow scan filter on base files, and
-    post-LWW-resolve filtering inside each delta partition."""
+    file/partition pruning and post-LWW-resolve filtering inside each
+    partition's read job."""
     wal = _events_as_wal(sf_dir)
     lake_dir = _scratch(sf_dir, "lake-pred")
     shutil.rmtree(lake_dir, ignore_errors=True)

@@ -48,6 +48,34 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 
+def _read_file(path: str, columns: list[str] | None, filesystem) -> pa.Table:
+    """One Parquet file, opened as a ``pq.ParquetFile`` and closed after the
+    read: ``columns`` (all when None), skipping the ones the file lacks (an
+    additively evolved lake's older files predate its newer columns). No
+    dataset discovery or expression planning, which ``pq.read_table`` adds
+    per call."""
+    with pq.ParquetFile(path, filesystem=filesystem) as f:
+        if columns is not None:
+            have = set(f.schema_arrow.names)
+            columns = [c for c in columns if c in have]
+        return f.read(columns=columns)
+
+
+def footer_bytes(fs, paths: list[str], columns: list[str]) -> int:
+    """Compressed bytes of ``columns`` in ``paths``, from the Parquet footers
+    alone: the input a read of those columns will decode."""
+    total = 0
+    for path in paths:
+        md = pq.read_metadata(path, filesystem=fs.pafs)
+        for i in range(md.num_row_groups):
+            rg = md.row_group(i)
+            for j in range(rg.num_columns):
+                c = rg.column(j)
+                if c.path_in_schema in columns:
+                    total += c.total_compressed_size
+    return total
+
+
 class LocalLakeFS:
     """Rename-capable backend: plain os/pyarrow calls, atomic os.replace."""
 
@@ -93,8 +121,8 @@ class LocalLakeFS:
     def write_parquet(self, table: pa.Table, path: str, compression: str) -> None:
         pq.write_table(table, path, compression=compression)
 
-    def read_parquet(self, path: str) -> pa.Table:
-        return pq.read_table(path)
+    def read_parquet(self, path: str, columns: list[str] | None = None) -> pa.Table:
+        return _read_file(path, columns, None)
 
     def finalize(self, src: str, dest: str) -> None:
         os.replace(src, dest)
@@ -178,8 +206,8 @@ class ObjectLakeFS:
     def write_parquet(self, table: pa.Table, path: str, compression: str) -> None:
         pq.write_table(table, path, filesystem=self.pafs, compression=compression)
 
-    def read_parquet(self, path: str) -> pa.Table:
-        return pq.read_table(path, filesystem=self.pafs)
+    def read_parquet(self, path: str, columns: list[str] | None = None) -> pa.Table:
+        return _read_file(path, columns, self.pafs)
 
     def finalize(self, src: str, dest: str) -> None:
         """Staged object → final key: server-side copy + delete. NO rename."""

@@ -54,6 +54,158 @@ def _schema_from_b64(s: str) -> pa.Schema:
     return pa.ipc.read_schema(pa.py_buffer(base64.b64decode(s)))
 
 
+# ---------- partition jobs: one runner, sized to the work ----------
+# Partition work whose footer-known input (the compressed bytes of the
+# columns it will read) is at most this many bytes runs in the driver
+# process; larger work is distributed. The one cutoff for every such path:
+# replay epochs (pipelines/replay.py), scans, lookups, change feeds,
+# compactions and re-hashes. Write path, one post-bootstrap delta epoch on
+# a 14k-url, P = 32 lake, one Ray CPU of a shared cloud VM, 3 runs each:
+# 40 KB took 0.14-0.19 s in the driver vs 0.33-0.41 s distributed, 0.76 MB
+# 0.17-0.20 vs 0.41-0.46 s, 3 MB 0.26-0.28 vs 1.7-1.9 s. Read path, same
+# box: a predicate scan of a 32-partition delta lake over 0.25 MB of
+# projected input took 0.14-0.24 s in the driver vs 0.62 s as 32 tasks.
+# The cutoff sits below those crossovers on purpose: on a cluster the tasks
+# run in parallel and their inputs never pass through the driver, so
+# bootstraps, chunked backlogs and full scans of big lakes (MBs) stay
+# distributed.
+LOCAL_INPUT_BYTES = 1 << 20
+
+# The LWW key, the lineage and the tombstone marker: a projected resolve
+# reads these besides the requested columns, so deletes still mask older
+# rows and the newest version of a key still wins.
+LINEAGE = ["url", "txn_id", "seq", "op"]
+
+
+def in_driver(input_bytes: int) -> bool:
+    """Whether work with this much footer-known input runs in the driver.
+    Reads LOCAL_INPUT_BYTES at call time."""
+    return input_bytes <= LOCAL_INPUT_BYTES
+
+
+def _submit_jobs(fn, jobs: list[tuple], per_job: bool) -> list:
+    """Submit ``jobs`` as k = min(jobs, cluster CPUs) Ray tasks, each
+    running a contiguous share of them: no more tasks queue than CPUs can
+    run, and a cluster with at least as many CPUs as partitions gets one
+    task per partition. Returns one ObjectRef per task holding its share's
+    results as a list, or with ``per_job`` one ObjectRef per job."""
+    import ray
+
+    from ..stages.exchange import _submit
+
+    k = min(len(jobs), max(int(ray.cluster_resources().get("CPU", 1)), 1))
+    cuts = [len(jobs) * i // k for i in range(k + 1)]
+    shares = [jobs[a:b] for a, b in zip(cuts, cuts[1:])]
+    task = ray.remote(num_cpus=1)(_run_jobs)
+    if not per_job:
+        return [task.remote(fn, s) for s in shares]
+    return [r for s in shares for r in _submit(task, len(s), fn, s, True)]
+
+
+def _run_jobs(fn, jobs: list[tuple], per_job: bool = False):
+    """A task's share of partition jobs: its results as one list, or with
+    ``per_job`` one return value per job. ObjectRef arguments resolve
+    here."""
+    import ray
+
+    out = [fn(*(ray.get(a) if isinstance(a, ray.ObjectRef) else a for a in job))
+           for job in jobs]
+    return out[0] if per_job and len(out) == 1 else out
+
+
+def run_partition_jobs(fn, jobs: list[tuple], local: bool) -> list:
+    """``[fn(*job) for job in jobs]``, one job per partition, results in job
+    order. ``local`` is the caller's executor choice (Lake._in_driver),
+    made once per read: True runs the jobs in the driver, False as Ray
+    tasks (_submit_jobs) that each return their share's results as one
+    object; on one CPU, 32 separate returns cost about 75 ms more. For
+    callers that need the results in the driver; jobs_dataset keeps them
+    in the object store."""
+    if local or not jobs:
+        return [fn(*job) for job in jobs]
+    import ray
+
+    return [r for share in ray.get(_submit_jobs(fn, jobs, False)) for r in share]
+
+
+def jobs_dataset(fn, jobs: list[tuple], local: bool):
+    """Ray Dataset over the Arrow tables of run_partition_jobs(fn, jobs,
+    local). In the driver the tables become one block (each ``from_arrow``
+    block costs milliseconds). As tasks, every job's table is its own
+    return value and block: it stays in the object store and never passes
+    through the driver."""
+    import ray
+    import ray.data
+
+    if local or not jobs:
+        tables = [t for t in (fn(*job) for job in jobs) if len(t.schema)]
+        if not tables:
+            return ray.data.from_items([])
+        return ray.data.from_arrow(
+            pa.concat_tables(tables, promote_options="permissive"))
+    refs = _submit_jobs(fn, jobs, True)
+    # settle the refs before handing them to a Dataset: building one over
+    # still-pending tiny task outputs intermittently trips a Ray core
+    # ref-count race (reference_count.cc CHECK on inlined dependencies);
+    # the jobs must finish before any consumer anyway
+    ray.wait(refs, num_returns=len(refs), fetch_local=False)
+    return ray.data.from_arrow_refs(refs)
+
+
+def _read_columns(columns: list[str] | None, conjuncts=()) -> list[str] | None:
+    """Columns a projected resolve reads: the requested and predicate ones
+    plus LINEAGE (None = every column)."""
+    if columns is None:
+        return None
+    return list(dict.fromkeys([*LINEAGE, *columns, *(c for c, _, _ in conjuncts)]))
+
+
+def _align(t: pa.Table, names: list[str] | None, schema: pa.Schema) -> pa.Table:
+    """``t`` as exactly the columns ``names`` (every column of the lake's
+    state ``schema``, then any extra ones, when None), in that order and
+    with the schema's types. A column that none of a partition's files
+    carries (it was added to the lake after they were written) reads as
+    nulls."""
+    from ..schema import align_table
+
+    if names is None:
+        names = schema.names + [c for c in t.column_names if c not in schema.names]
+    fields = []
+    for n in names:
+        if schema.get_field_index(n) != -1:
+            fields.append(schema.field(n))
+        elif t.schema.get_field_index(n) != -1:
+            fields.append(t.schema.field(n))
+        else:
+            raise KeyError(f"Column {n} does not exist in the lake schema")
+    return align_table(t, pa.schema(fields))
+
+
+def _read_job(lake: Lake, p: int, files: list[str], columns: list[str] | None,
+              conjuncts: list, keys: list[str] | None,
+              schema: pa.Schema) -> pa.Table:
+    """One partition's live rows from ``files`` (non-empty): LWW-resolved
+    over base + deltas (reading only ``columns``, the predicate columns and
+    LINEAGE), restricted to urls in ``keys`` (all when None) and to rows
+    matching ``conjuncts``, aligned to the lake's state ``schema`` and
+    projected onto ``columns`` (all when None). The one
+    resolve/filter/project behind Lake.dataset and Lake.lookup, in the
+    driver or in a task."""
+    import pyarrow.compute as pc
+
+    from .predicate import Predicate
+
+    t = lake.resolve(p, columns=_read_columns(columns, conjuncts), files=files)
+    if keys is not None:
+        t = t.filter(pc.is_in(t["url"], value_set=pa.array(keys, pa.string())))
+    pred = Predicate(conjuncts)
+    if columns is None:
+        return pred.filter_table(_align(t, None, schema))
+    t = _align(t, list(dict.fromkeys([*columns, *pred.columns()])), schema)
+    return pred.filter_table(t).select(columns)
+
+
+
 class Lake:
     def __init__(self, root: str):
         # root keeps its scheme (mocks3://… / s3://…) so merge tasks on other
@@ -279,13 +431,52 @@ class Lake:
 
     def watermarks(self, gen: int | None = None) -> dict[int, int]:
         """Per-partition committed txn_hi — the resumable checkpoint."""
-        out: dict[int, int] = {}
+        return {p: m["txn_hi"] for p, m in self._manifests(gen).items()}
+
+    def _manifests(self, gen: int | None = None) -> dict[int, dict]:
+        """Current manifest of every committed partition: one list, one
+        read each."""
+        out: dict[int, dict] = {}
         mdir = self._mdir(gen)
         for name in self.fs.list_names(mdir):
             if name.startswith("part-") and name.endswith(".json"):
                 m = self.fs.read_json(os.path.join(mdir, name))
-                out[m["partition"]] = m["txn_hi"]
+                out[m["partition"]] = m
         return out
+
+    def _manifests_at(self, mans: dict[int, dict], as_of_txn: int | None,
+                      gen: int) -> dict[int, dict]:
+        """Manifests of the snapshot at ``as_of_txn`` (None = the current
+        manifests ``mans``), by partition; partitions without a commit by
+        then are left out."""
+        if as_of_txn is not None:
+            mans = {p: self.manifest_as_of(p, as_of_txn, gen) for p in mans}
+        return {p: m for p, m in sorted(mans.items()) if m is not None}
+
+    def _files_at(self, mans: dict[int, dict], as_of_txn: int | None,
+                  gen: int) -> dict[int, list[str]]:
+        """Data files per partition of the snapshot (see _manifests_at)."""
+        return {p: [self._p(f) for f in m["files"]]
+                for p, m in self._manifests_at(mans, as_of_txn, gen).items()}
+
+    def _in_driver(self, files, columns: list[str] | None = None) -> bool:
+        """The executor choice of one read of ``columns`` (all when None) of
+        ``files``, made once and handed to run_partition_jobs or
+        jobs_dataset: the driver when that input is at most
+        LOCAL_INPUT_BYTES (or Ray is not up). The files' total size answers
+        for a read of every column (their column chunks plus small footers)
+        and for any read when it is within the cutoff (an upper bound that
+        already selects the driver); otherwise the projection's compressed
+        column bytes come from the Parquet footers."""
+        import ray
+
+        if not ray.is_initialized():
+            return True
+        files = list(files)
+        total = sum(self.fs.size(f) for f in files)
+        if columns is None or in_driver(total):
+            return in_driver(total)
+        return in_driver(lakefs.footer_bytes(self.fs, files, columns))
 
     # ---------- staging / data ----------
     def stage_dir(self, run_id: str, p: int) -> str:
@@ -316,30 +507,41 @@ class Lake:
         return [self._p(f) for f in m["files"]]
 
     def read_state_raw(self, p: int, as_of_txn: int | None = None,
-                       gen: int | None = None) -> pa.Table | None:
+                       gen: int | None = None, columns: list[str] | None = None,
+                       files: list[str] | None = None) -> pa.Table | None:
         """Concat of base + delta files — may contain superseded rows and
-        tombstones; LWW lineage (txn_id, seq) resolves them."""
-        files = self.partition_files(p, as_of_txn, gen)
+        tombstones; LWW lineage (txn_id, seq) resolves them. ``columns``
+        reads only those columns plus LINEAGE (key, lineage and tombstone
+        marker, so LWW still resolves). ``files`` reads that file list
+        instead of looking up the partition's manifest (for callers that
+        already hold it)."""
+        if files is None:
+            files = self.partition_files(p, as_of_txn, gen)
         if not files:
             return None
+        cols = None if columns is None else _read_columns(columns)
         return pa.concat_tables(
-            [self.fs.read_parquet(f) for f in files], promote_options="permissive"
-        )
+            [self.fs.read_parquet(f, cols) for f in files],
+            promote_options="permissive")
 
     # kept as the merge-path API: raw is correct input for an LWW merge
     read_state = read_state_raw
 
     def resolve(self, p: int, as_of_txn: int | None = None,
-                gen: int | None = None) -> pa.Table | None:
+                gen: int | None = None, columns: list[str] | None = None,
+                files: list[str] | None = None) -> pa.Table | None:
         """Materialized view of a partition: LWW over base+deltas, tombstones
         dropped, op column removed (delta-file resolution). ``as_of_txn``
         resolves the snapshot at a retained historical commit instead
         (requires init(history=True) for snapshots older than the current);
         across a partition evolution it resolves in the generation active at
-        that txn (where ``p`` means the OLD layout's bucket)."""
+        that txn (where ``p`` means the OLD layout's bucket). ``columns`` and
+        ``files`` project and pin the read as in read_state_raw; the result
+        then holds the requested columns the files carry, plus url, txn_id
+        and seq."""
         from ..stages.merge import resolve_state
 
-        raw = self.read_state_raw(p, as_of_txn, gen)
+        raw = self.read_state_raw(p, as_of_txn, gen, columns, files)
         if raw is None:
             return None
         return resolve_state(raw)
@@ -489,38 +691,73 @@ class Lake:
 
     def compact_all(self, parallel: bool = True,
                     min_delta_bytes: int | None = None) -> int:
-        """Compact delta-bearing partitions; returns count compacted.
-        Distributed when Ray is up (one task per partition).
+        """Compact delta-bearing partitions; returns count compacted. One
+        job per partition through run_partition_jobs: distributed when
+        their files hold more than LOCAL_INPUT_BYTES, else (and always with
+        ``parallel=False``) in the driver.
 
         min_delta_bytes schedules by accumulated DELTA VOLUME rather than
         file count: a hot partition with many large deltas compacts early, a
         cold one with a few tiny deltas is left alone — the knob that keeps
         steady-state compaction I/O proportional to churn, not to partition
         count."""
-        parts = [p for p in self.watermarks()
-                 if (self.manifest(p) or {}).get("n_deltas", 0) > 0]
+        mans = {p: m for p, m in self._manifests().items()
+                if m.get("n_deltas", 0) > 0}
         if min_delta_bytes is not None:
-            parts = [p for p in parts if self.delta_bytes(p) >= min_delta_bytes]
-        if not parts:
+            mans = {p: m for p, m in mans.items()
+                    if self.delta_bytes(p) >= min_delta_bytes}
+        if not mans:
             return 0
-        if parallel:
-            try:
-                import ray
-
-                if ray.is_initialized():
-                    root = self.root
-                    fn = ray.remote(num_cpus=1)(
-                        lambda p: Lake(root).compact_partition(p))
-                    return sum(r == "committed"
-                               for r in ray.get([fn.remote(p) for p in parts]))
-            except Exception:  # pragma: no cover
-                pass
-        return sum(self.compact_partition(p) == "committed" for p in parts)
+        local = not parallel or self._in_driver(
+            self._p(f) for m in mans.values() for f in m["files"])
+        return sum(r == "committed" for r in run_partition_jobs(
+            Lake.compact_partition, [(self, p) for p in sorted(mans)], local))
 
     def cleanup_staging(self, run_id: str) -> None:
         self.fs.delete_tree(self._p(STAGING, run_id))
 
     # ---------- online partition evolution ----------
+    def _rehash(self, src_parts: list[int], read, n_new: int, combine,
+                local: bool, run=run_partition_jobs):
+        """Re-bucket tables into a layout of ``n_new`` partitions:
+        ``read(p)`` of every source partition is split by
+        ``partition_of(url, n_new)``, then ``combine(q, piece)`` runs once per
+        new partition ``q`` on the concat of its pieces (None when it got no
+        rows). Returns ``run`` (run_partition_jobs or jobs_dataset) over the
+        combine jobs, in partition order. The one split-then-combine
+        re-hash behind evolve_partitions and cross-generation change feeds:
+        both steps run in the driver when ``local``, else as Ray tasks (one
+        split per source; the combines through ``run``)."""
+        nret = max(n_new, 2)  # Ray unpacks only num_returns >= 2
+
+        def split(p: int) -> tuple:
+            from ..hashing import partition_of
+            from ..schema import PART_COL
+            from ..stages.exchange import split_by_part
+
+            out = [None] * nret
+            t = read(p)
+            if t is not None and len(t):
+                t = t.append_column(PART_COL,
+                                    pa.array(partition_of(t["url"], n_new)))
+                out[:n_new] = split_by_part(t, n_new)
+            return tuple(out)
+
+        def gather(q: int, *pieces) -> object:
+            parts = [t for t in pieces if t is not None and len(t)]
+            return combine(q, pa.concat_tables(parts, promote_options="permissive")
+                           if parts else None)
+
+        if local:
+            pieces = {p: split(p) for p in src_parts}
+        else:
+            import ray
+
+            task = ray.remote(num_cpus=1, num_returns=nret)(split)
+            pieces = {p: task.remote(p) for p in src_parts}
+        return run(gather, [(q, *[pieces[p][q] for p in src_parts])
+                            for q in range(n_new)], local)
+
     def evolve_partitions(self, new_num_partitions: int) -> dict:
         """Re-bucket a LIVE lake to a new partition count, in place, with a
         manifest-recorded epoch boundary — no path swap, no downtime window
@@ -558,57 +795,19 @@ class Lake:
         old_p = meta["num_partitions"]
         old_gen = int(meta.get("generation", 0))
         new_gen = old_gen + 1
-        wm = self.watermarks(old_gen)
-        boundary = min(wm.values(), default=0)
+        old_mans = self._manifests(old_gen)
+        boundary = min((m["txn_hi"] for m in old_mans.values()), default=0)
+        old_files = self._files_at(old_mans, None, old_gen)
         run_id = f"evolve-{_uuid.uuid4().hex[:8]}"
-        root = self.root
 
-        nret = max(new_num_partitions, 2)  # Ray unpacks only num_returns>=2
+        def write_one(q: int, old: pa.Table | None) -> dict | None:
+            return None if old is None else self.write_staged(run_id, q, old)
 
-        def split_one(p: int) -> tuple:
-            from ..hashing import partition_of
-            from ..stages.exchange import split_by_part
-            from ..schema import PART_COL
-
-            t = Lake(root).resolve(p, gen=old_gen)
-            if t is None or len(t) == 0:
-                return tuple([None] * nret)
-            codes = partition_of(t["url"], new_num_partitions)
-            t = t.append_column(PART_COL, pa.array(codes))
-            out = list(split_by_part(t, new_num_partitions))
-            while len(out) < nret:
-                out.append(None)
-            return tuple(out)
-
-        def write_one(q: int, *pieces) -> dict | None:
-            lk = Lake(root)
-            parts = [t for t in pieces if t is not None and len(t)]
-            if not parts:
-                return None
-            merged = pa.concat_tables(parts, promote_options="permissive")
-            return lk.write_staged(run_id, q, merged)
-
-        use_ray = False
-        try:
-            import ray
-
-            use_ray = ray.is_initialized()
-        except Exception:  # pragma: no cover
-            pass
-        src_parts = sorted(wm)
-        if use_ray:
-            import ray
-
-            rsplit = ray.remote(num_cpus=1, num_returns=nret)(split_one)
-            rwrite = ray.remote(num_cpus=1)(write_one)
-            outs = {p: rsplit.remote(p) for p in src_parts}
-            staged = ray.get([
-                rwrite.remote(q, *[outs[p][q] for p in src_parts])
-                for q in range(new_num_partitions)])
-        else:
-            split = {p: split_one(p) for p in src_parts}
-            staged = [write_one(q, *[split[p][q] for p in src_parts])
-                      for q in range(new_num_partitions)]
+        src_parts = sorted(old_files)
+        local = self._in_driver(f for fs_ in old_files.values() for f in fs_)
+        staged = self._rehash(
+            src_parts, lambda p: self.resolve(p, files=old_files[p]),
+            new_num_partitions, write_one, local)
 
         # finalize + write new-generation manifests (invisible until flip)
         mdir = self._mdir(new_gen)
@@ -684,45 +883,51 @@ class Lake:
             return pa.table({})
         return pa.concat_tables(parts, promote_options="permissive")
 
+    def _num_partitions(self, gen: int, meta: dict) -> int:
+        """Partition count of generation ``gen``: an older generation's is
+        the ``prev_num_partitions`` of the evolution that ended it."""
+        for e in meta.get("partition_epochs", []):
+            if e["generation"] == gen + 1:
+                return e["prev_num_partitions"]
+        return meta["num_partitions"]
+
+    def _state_schema(self, meta: dict) -> pa.Schema:
+        from ..schema import state_schema
+
+        return state_schema(_schema_from_b64(meta["event_schema"]))
+
     def lookup(self, urls: list[str], as_of_txn: int | None = None,
                columns: list[str] | None = None) -> pa.Table:
         """Primary-key point lookup: hash each url to its bucket and
         resolve ONLY the touched partitions (≤ len(urls) of them, typically
         ≪ P), then filter to the requested keys — the O(keys/P) GET path a
-        serving layer needs, no full scan, no shuffle. Distributed: one
-        task per touched partition; absent keys simply return no row.
+        serving layer needs, no full scan, no shuffle. Reads the touched
+        partitions' manifests only, and ``columns`` (plus the key, lineage
+        and tombstone columns) of their files. Runs in the driver when that
+        input is at most LOCAL_INPUT_BYTES; larger lookups are distributed:
+        min(touched partitions, cluster CPUs) tasks (run_partition_jobs).
+        Absent keys and uncommitted partitions simply return no row.
         ``as_of_txn`` looks up in a retained historical snapshot."""
-        import ray
-
         from ..hashing import partition_of
 
         if not urls:
             return pa.table({})
+        meta = self.meta()
         gen = self._resolve_gen(None, as_of_txn)
         p_of = partition_of(pa.array(urls, pa.string()),
-                            self.num_partitions())
+                            self._num_partitions(gen, meta))
         by_part: dict[int, list[str]] = {}
         for u, p in zip(urls, p_of.tolist()):
             by_part.setdefault(int(p), []).append(u)
-        committed = self.watermarks(gen)
-        root = self.root
-
-        @ray.remote(num_cpus=1)
-        def fetch(p: int, keys: list[str]) -> pa.Table | None:
-            import pyarrow.compute as _pc
-
-            t = Lake(root).resolve(p, as_of_txn, gen)
-            if t is None:
-                return None
-            t = t.filter(_pc.is_in(t["url"],
-                                   value_set=pa.array(keys, pa.string())))
-            if columns:
-                t = t.select(columns)
-            return t if len(t) else None
-
-        refs = [fetch.remote(p, ks) for p, ks in sorted(by_part.items())
-                if p in committed]
-        parts = [t for t in ray.get(refs) if t is not None]
+        files = {p: self.partition_files(p, as_of_txn, gen) for p in sorted(by_part)}
+        files = {p: fs_ for p, fs_ in files.items() if fs_}
+        schema = self._state_schema(meta)
+        local = self._in_driver((f for fs_ in files.values() for f in fs_),
+                                _read_columns(columns))
+        parts = run_partition_jobs(
+            _read_job, [(self, p, fs_, columns, [], by_part[p], schema)
+                        for p, fs_ in files.items()], local)
+        parts = [t for t in parts if len(t)]
         if not parts:
             return pa.table({})
         return pa.concat_tables(parts, promote_options="permissive")
@@ -731,14 +936,17 @@ class Lake:
     def partition_changes(self, p: int, since_txn: int,
                           until_txn: int | None = None,
                           pre_images: bool = False,
-                          gen: int | None = None) -> pa.Table:
+                          gen: int | None = None,
+                          files: tuple | None = None) -> pa.Table:
         """CDF for one partition: diff of the resolved snapshots as of
         ``since_txn`` and ``until_txn`` (None = current). ``_change_type`` ∈
         {insert, update, delete}; see stages.merge.diff_snapshots. since_txn
         < the first commit diffs against the empty snapshot (all inserts).
         Both snapshots must live in the SAME generation ``gen`` (partition
         ids change meaning across an evolution) — ``changes()`` routes
-        cross-generation windows through the re-hash path instead."""
+        cross-generation windows through the re-hash path instead.
+        ``files`` = (old snapshot's files, new snapshot's files) skips the
+        manifest lookups when the caller already resolved them."""
         from ..stages.merge import diff_snapshots
 
         gen = self.generation() if gen is None else gen
@@ -748,116 +956,76 @@ class Lake:
                 "partition_changes cannot diff across a partition-evolution "
                 "boundary (partition ids change meaning); use Lake.changes()"
                 f" (epochs: {self.partition_epochs()})")
-        old = self.resolve(p, as_of_txn=since_txn, gen=gen)
-        new = self.resolve(p, gen=gen) if until_txn is None \
-            else self.resolve(p, as_of_txn=until_txn, gen=gen)
+        old_files, new_files = files if files is not None else (None, None)
+        old = self.resolve(p, as_of_txn=since_txn, gen=gen, files=old_files)
+        new = self.resolve(p, as_of_txn=until_txn, gen=gen, files=new_files)
         return diff_snapshots(old, new, pre_images=pre_images)
 
-    def changes(self, since_txn: int, until_txn: int | None = None,
-                pre_images: bool = False):
-        """Distributed change feed: one remote diff task per partition (the
-        diff is partition-local by construction — both snapshots hash on the
-        same key — so no shuffle), returned as a Ray Dataset.
+    def _change_parts(self, since_txn: int, until_txn: int | None,
+                      pre_images: bool, run):
+        """``run`` (run_partition_jobs or jobs_dataset) over the window's
+        per-partition diff jobs, see changes()."""
+        from ..stages.merge import diff_snapshots
 
-        When the window CROSSES a partition-evolution boundary, partition
-        ids change meaning, so the old snapshot is first RE-HASHED into the
-        until-side generation's bucketing (one split task per old
-        partition, same machinery as evolve_partitions) and each new-gen
-        partition diffs its re-bucketed old state against its own snapshot
-        — one extra exchange of the old snapshot, still no global shuffle
-        of the new side. Requires the old generation's manifests (history
-        lakes retain them; non-history lakes GC them at evolution)."""
-        import ray
-        import ray.data
-
-        root = self.root
         g_until = (self.generation() if until_txn is None
                    else self._gen_for_txn(until_txn))
         g_since = self._gen_for_txn(since_txn)
-
+        mans = self._manifests(g_until)
+        new = self._files_at(mans, until_txn, g_until)
         if g_since == g_until:
-            @ray.remote(num_cpus=1)
-            def _diff(p: int):
-                return Lake(root).partition_changes(
-                    p, since_txn, until_txn, pre_images=pre_images,
-                    gen=g_until)
+            old = self._files_at(mans, since_txn, g_until)
+            local = self._in_driver(
+                f for fs_ in (*old.values(), *new.values()) for f in fs_)
+            return run(Lake.partition_changes,
+                       [(self, p, since_txn, until_txn, pre_images, g_until,
+                         (old.get(p, []), new.get(p, []))) for p in sorted(mans)
+                        if old.get(p) or new.get(p)], local)
 
-            parts = sorted(self.watermarks(g_until))
-            if not parts:
-                return ray.data.from_items([])
-            refs = [_diff.remote(p) for p in parts]
-            # settle the refs before handing them to Dataset: building a
-            # Dataset over still-pending tiny task outputs intermittently
-            # trips a Ray core ref-count race (reference_count.cc CHECK on
-            # inlined dependencies, observed twice in gate sweeps); waiting
-            # costs nothing — the diffs must finish before any consumer
-            ray.wait(refs, num_returns=len(refs), fetch_local=False)
-            return ray.data.from_arrow_refs(refs)
-
-        # ---- cross-generation window ----
-        old_parts = sorted(self.watermarks(g_since))
-        if not old_parts:
+        # ---- cross-generation window: re-hash the old snapshot ----
+        old_mans = self._manifests(g_since)
+        if not old_mans:
             raise ValueError(
                 f"generation {g_since} manifests are gone (evolution on a "
                 "non-history lake GCs them) — cross-boundary change feeds "
                 "need init(history=True)")
-        new_parts = sorted(self.watermarks(g_until))
-        new_p = len(new_parts)
-        nret = max(new_p, 2)
+        old = self._files_at(old_mans, since_txn, g_since)
 
-        @ray.remote(num_cpus=1, num_returns=nret)
-        def _split_old(q: int) -> tuple:
-            from ..hashing import partition_of
-            from ..schema import PART_COL
-            from ..stages.exchange import split_by_part
+        def diff_new(p: int, old_rows: pa.Table | None) -> pa.Table:
+            return diff_snapshots(old_rows, self.resolve(p, files=new.get(p, [])),
+                                  pre_images=pre_images)
 
-            t = Lake(root).resolve(q, as_of_txn=since_txn, gen=g_since)
-            if t is None or len(t) == 0:
-                return tuple([None] * nret)
-            codes = partition_of(t["url"], new_p)
-            t = t.append_column(PART_COL, pa.array(codes))
-            out = list(split_by_part(t, new_p))
-            while len(out) < nret:
-                out.append(None)
-            return tuple(out)
+        local = self._in_driver(
+            f for fs_ in (*old.values(), *new.values()) for f in fs_)
+        return self._rehash(
+            sorted(old), lambda q: self.resolve(q, files=old[q]),
+            self._num_partitions(g_until, self.meta()), diff_new, local, run)
 
-        @ray.remote(num_cpus=1)
-        def _diff_new(p: int, *pieces) -> pa.Table:
-            from ..stages.merge import diff_snapshots
+    def changes(self, since_txn: int, until_txn: int | None = None,
+                pre_images: bool = False):
+        """Change feed as a Ray Dataset: one diff job per partition (the
+        diff is partition-local by construction — both snapshots hash on the
+        same key — so no shuffle). In the driver when the snapshots' files
+        hold at most LOCAL_INPUT_BYTES (one block); larger feeds are
+        distributed: min(partitions, cluster CPUs) tasks (jobs_dataset),
+        one block per partition, left in the object store.
 
-            olds = [t for t in pieces if t is not None and len(t)]
-            old = pa.concat_tables(olds, promote_options="permissive") \
-                if olds else None
-            lk = Lake(root)
-            new = (lk.resolve(p, gen=g_until) if until_txn is None
-                   else lk.resolve(p, as_of_txn=until_txn, gen=g_until))
-            return diff_snapshots(old, new, pre_images=pre_images)
-
-        outs = {q: _split_old.remote(q) for q in old_parts}
-        refs = [_diff_new.remote(p, *[outs[q][p] for q in old_parts])
-                for p in new_parts]
-        ray.wait(refs, num_returns=len(refs), fetch_local=False)
-        return ray.data.from_arrow_refs(refs)
+        When the window CROSSES a partition-evolution boundary, partition
+        ids change meaning, so the old snapshot is first RE-HASHED into the
+        until-side generation's bucketing (the re-hash evolve_partitions
+        uses) and each new-gen partition diffs its re-bucketed old state
+        against its own snapshot — one extra exchange of the old snapshot,
+        still no global shuffle of the new side. Requires the old
+        generation's manifests (history lakes retain them; non-history lakes
+        GC them at evolution)."""
+        return self._change_parts(since_txn, until_txn, pre_images,
+                                  jobs_dataset)
 
     def changes_table(self, since_txn: int, until_txn: int | None = None,
                       pre_images: bool = False) -> pa.Table:
-        """Driver-side change feed (tests / small results only). Routes
-        through the distributed path when the window crosses an evolution
-        boundary (the re-hash needs Ray)."""
-        import ray
-
-        g_until = (self.generation() if until_txn is None
-                   else self._gen_for_txn(until_txn))
-        if self._gen_for_txn(since_txn) != g_until:
-            ds = self.changes(since_txn, until_txn, pre_images=pre_images)
-            parts = [t for t in ray.get(ds.to_arrow_refs())
-                     if t is not None and len(t)]
-        else:
-            parts = [self.partition_changes(p, since_txn, until_txn,
-                                            pre_images=pre_images,
-                                            gen=g_until)
-                     for p in sorted(self.watermarks(g_until))]
-            parts = [t for t in parts if t is not None and len(t)]
+        """The change feed of changes() as one table (small results)."""
+        parts = self._change_parts(since_txn, until_txn, pre_images,
+                                   run_partition_jobs)
+        parts = [t for t in parts if len(t)]
         if not parts:
             return pa.table({})
         return pa.concat_tables(parts, promote_options="permissive")
@@ -870,90 +1038,64 @@ class Lake:
         every surviving partition's full lineage, so per-file pruning there
         would be unsound). ``as_of_txn`` plans against the retained historical
         version instead (time travel; partitions with no commit by then are
-        skipped). Returns the plan plus pruning counters so callers and tests
+        skipped). Returns the plan — ``part_files``: the files to read per
+        surviving partition — plus pruning counters so callers and tests
         can verify fewer files are opened."""
         from .predicate import normalize
 
         pred = normalize(predicate)
         gen = self._resolve_gen(None, as_of_txn)
-        wm = self.watermarks(gen)
-        mans = {p: (self.manifest(p, gen) if as_of_txn is None
-                    else self.manifest_as_of(p, as_of_txn, gen)) for p in wm}
-        mans = {p: m for p, m in mans.items() if m is not None}
-        delta_parts = sorted(
-            p for p, m in mans.items() if m.get("n_deltas", 0) > 0)
-        # thread the already-resolved manifests into file listing instead of
-        # re-resolving via partition_files → manifest_as_of → versions (each
-        # of which re-reads the whole history dir on object stores)
-        files_of = {p: [self._p(f) for f in m["files"]]
-                    for p, m in mans.items()}
-        base_files = [f for p in sorted(mans) if p not in delta_parts
-                      for f in files_of[p]]
-        n_base, n_delta = len(base_files), len(delta_parts)
+        mans = self._manifests_at(self._manifests(gen), as_of_txn, gen)
+        files_of = {p: [self._p(f) for f in m["files"]] for p, m in mans.items()}
+        delta_parts = [p for p, m in mans.items() if m.get("n_deltas", 0) > 0]
+        base = {p: fs_ for p, fs_ in files_of.items() if p not in delta_parts}
+        n_base, n_delta = sum(map(len, base.values())), len(delta_parts)
         if pred is not None and pred.conjuncts:
-            base_files = [f for f in base_files
-                          if pred.file_may_match(self.fs, f)]
+            base = {p: [f for f in fs_ if pred.file_may_match(self.fs, f)]
+                    for p, fs_ in base.items()}
             delta_parts = [p for p in delta_parts
                            if any(pred.file_may_match(self.fs, f)
                                   for f in files_of[p])]
+        part_files = {p: fs_ for p, fs_ in base.items() if fs_}
+        n_base_kept = sum(map(len, part_files.values()))
+        part_files.update((p, files_of[p]) for p in delta_parts)
         return {
             "predicate": pred,
-            "base_files": base_files,
-            "delta_parts": delta_parts,
+            "part_files": dict(sorted(part_files.items())),
             "base_files_total": n_base,
-            "base_files_pruned": n_base - len(base_files),
+            "base_files_pruned": n_base - n_base_kept,
             "delta_parts_total": n_delta,
             "delta_parts_pruned": n_delta - len(delta_parts),
         }
 
     def dataset(self, columns: list[str] | None = None, predicate=None,
-                as_of_txn: int | None = None, **kwargs):
-        """Distributed read of the current lake snapshot. Partitions with
-        delta files resolve inside one remote task each (partition-local LWW
-        — no shuffle); pure-base partitions stream via read_parquet. Column
-        pruning applies on BOTH paths (delta resolution must still read the
-        key/lineage/op columns to run LWW, then projects).
+                as_of_txn: int | None = None):
+        """Read of the lake snapshot as a Ray Dataset. Every surviving
+        partition is one job of the same resolve/filter/project
+        (``_read_job``): partitions with delta files resolve LWW over their
+        whole lineage (partition-local — no shuffle), pure-base ones just
+        read. Only ``columns``, the predicate columns and the key / lineage /
+        tombstone columns are read; columns older files lack read as nulls.
+        The jobs run in the driver and return one block when that projected
+        input is at most LOCAL_INPUT_BYTES; larger scans are distributed:
+        min(partitions, cluster CPUs) tasks (jobs_dataset), one block per
+        partition, left in the object store — the rows never pass through
+        the driver.
 
         ``predicate`` — a list of ``(col, op, value)`` conjuncts or a
-        ``state.predicate.Predicate`` — pushes down in three layers (see
-        that module's docstring): footer-stats file/partition pruning, an
-        Arrow scan filter on the base path, and post-LWW-resolve filtering
-        inside each delta partition's resolve task.
+        ``state.predicate.Predicate`` — pushes down in two layers (see that
+        module's docstring): footer-stats file/partition pruning in
+        scan_plan, then post-LWW-resolve filtering inside each job.
 
-        ``as_of_txn`` — distributed time travel: stream the snapshot at the
-        retained historical commit instead (init(history=True) lakes)."""
-        import ray
-        import ray.data
-
+        ``as_of_txn`` — time travel: read the snapshot at the retained
+        historical commit instead (init(history=True) lakes)."""
         plan = self.scan_plan(predicate, as_of_txn=as_of_txn)
         pred = plan["predicate"]
-        pieces = []
-        if plan["base_files"]:
-            if self.fs.pafs is not None and "filesystem" not in kwargs:
-                kwargs = {**kwargs, "filesystem": self.fs.pafs}
-            if pred is not None and pred.conjuncts:
-                kwargs = {**kwargs, "filter": pred.to_expression()}
-            pieces.append(ray.data.read_parquet(plan["base_files"],
-                                                columns=columns, **kwargs))
-        if plan["delta_parts"]:
-            root = self.root
-            conjuncts = pred.conjuncts if pred is not None else []
-
-            @ray.remote(num_cpus=1)
-            def _resolve(p: int):
-                from .predicate import Predicate
-
-                t = Lake(root).resolve(p, as_of_txn=as_of_txn)
-                if conjuncts:
-                    t = Predicate(conjuncts).filter_table(t)
-                return t.select(columns) if columns else t
-
-            refs = [_resolve.remote(p) for p in plan["delta_parts"]]
-            ray.wait(refs, num_returns=len(refs), fetch_local=False)
-            pieces.append(ray.data.from_arrow_refs(refs))
-        if not pieces:
-            return ray.data.from_items([])
-        ds = pieces[0]
-        for extra in pieces[1:]:
-            ds = ds.union(extra)
-        return ds
+        conjuncts = pred.conjuncts if pred is not None else []
+        schema = self._state_schema(self.meta())
+        local = self._in_driver(
+            (f for fs_ in plan["part_files"].values() for f in fs_),
+            _read_columns(columns, conjuncts))
+        return jobs_dataset(
+            _read_job, [(self, p, fs_, columns, conjuncts, None, schema)
+                        for p, fs_ in plan["part_files"].items()], local)

@@ -3,20 +3,19 @@
 Reference analog: the reader WHERE surface — every split's generated query
 carries the user's WHERE clause so the source prunes rows before they enter
 the channel (rdbmsreader SingleTableSplitUtil.buildQuerySql:132-142). The
-lake-side equivalent has three layers, applied in ``Lake.dataset``:
+lake-side equivalent has two layers, applied in ``Lake.dataset``:
 
 1. **File pruning** — parquet footer min/max statistics exclude whole files
    whose value range cannot satisfy the predicate (zero bytes read beyond
-   the footer).
-2. **Scan pushdown** — the compiled ``pyarrow.dataset`` expression is passed
-   to ``read_parquet(filter=...)`` for pure-base partitions, so row groups
-   prune on statistics and surviving rows filter inside the scan task.
-3. **Post-resolve filtering** — delta partitions must feed ALL lineage rows
+   the footer): single files of pure-base partitions, whole delta
+   partitions.
+2. **Post-resolve filtering** — delta partitions must feed ALL lineage rows
    for a key through the LWW merge (filtering first could resurrect a row
    that a later tombstone deleted), so the predicate applies to the
-   *resolved* view inside the per-partition resolve task. Whole partitions
-   still prune via layer 1: a resolved row's values come from some raw file
-   row, so if no raw file in the partition can match, no resolved row can.
+   *resolved* view inside each partition's read job (a pure-base partition
+   resolves to its rows as read). Whole partitions still prune via layer 1:
+   a resolved row's values come from some raw file row, so if no raw file
+   in the partition can match, no resolved row can.
 
 Pruning is conservative: missing statistics, unsupported operators and
 type mismatches all keep the file.

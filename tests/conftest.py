@@ -22,20 +22,21 @@ def ray_session():
 
 @pytest.fixture(params=["local", "distributed"])
 def executor(request, monkeypatch):
-    """Run the test's replays under one executor: ``LOCAL_INPUT_BYTES`` is
-    raised so every epoch runs in the driver, or zeroed so every epoch runs
-    distributed, whatever its size."""
-    from dataxray.pipelines import replay
+    """Run the test's replays and lake reads under one executor: the single
+    cutoff ``LOCAL_INPUT_BYTES`` is raised so every epoch and read runs in
+    the driver, or zeroed so every one runs distributed, whatever its
+    size."""
+    from dataxray.state import manifest
 
-    monkeypatch.setattr(replay, "LOCAL_INPUT_BYTES",
+    monkeypatch.setattr(manifest, "LOCAL_INPUT_BYTES",
                         1 << 40 if request.param == "local" else 0)
     return request.param
 
 
 @pytest.fixture
 def distributed(monkeypatch):
-    """Pin the replay to the distributed executor for tests whose inputs
-    are small but which exercise the exchange's task fan-out shapes."""
-    from dataxray.pipelines import replay
+    """Pin replays and reads to the distributed executor for tests whose
+    inputs are small but which exercise the task fan-out shapes."""
+    from dataxray.state import manifest
 
-    monkeypatch.setattr(replay, "LOCAL_INPUT_BYTES", 0)
+    monkeypatch.setattr(manifest, "LOCAL_INPUT_BYTES", 0)

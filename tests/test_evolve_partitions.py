@@ -138,6 +138,49 @@ def test_evolve_history_time_travel_across_boundary(data_dir, tmp_path):
     lk.changes_table(since_txn=boundary)
 
 
+def test_reads_across_boundary_under_both_executors(executor, data_dir,
+                                                    oracle_df, tmp_path):
+    """The re-hash (evolve_partitions, cross-generation change feed) and
+    as-of lookups, in the driver and as Ray tasks: a lookup as of a
+    pre-boundary snapshot hashes with that generation's partition count."""
+    import ray
+
+    lake = str(tmp_path / "lake")
+    epochs = str(tmp_path / "epochs")
+    os.makedirs(epochs)
+    files = sorted(os.listdir(os.path.join(data_dir, "events")))
+    replay(None, lake, pages_path=os.path.join(data_dir, "pages.parquet"),
+           cfg=ReplayConfig(num_partitions=4, history=True))
+    _replay_epochs(data_dir, lake, epochs, files[:1], 4, history=True)
+    since = min(Lake(lake).watermarks().values())
+    old_df = _lake_df(lake)
+    _replay_epochs(data_dir, lake, epochs, files[1:2], 4, history=True)
+
+    Lake(lake).evolve_partitions(10)
+    _replay_epochs(data_dir, lake, epochs, files[2:], 10, history=True)
+    lk = Lake(lake)
+    assert lk._gen_for_txn(since) == 0
+    got = _lake_df(lake)
+    assert got["url"].tolist() == oracle_df["url"].tolist()
+    assert got["text"].tolist() == oracle_df["text"].tolist()
+
+    keys = old_df["url"].tolist()[::7]
+    found = lk.lookup(keys + ["https://absent.example/x"], as_of_txn=since)
+    assert dict(zip(found["url"].to_pylist(), found["text"].to_pylist())) == \
+        dict(zip(keys, old_df["text"].tolist()[::7]))
+
+    new_m = {r.url: (r.txn_id, r.seq) for r in got.itertuples(index=False)}
+    old_m = {r.url: (r.txn_id, r.seq) for r in old_df.itertuples(index=False)}
+    want = {(u, "insert") for u in new_m if u not in old_m}
+    want |= {(u, "update") for u in new_m if u in old_m and new_m[u] != old_m[u]}
+    want |= {(u, "delete") for u in old_m if u not in new_m}
+    feed = lk.changes_table(since_txn=since)
+    assert set(zip(feed["url"].to_pylist(), feed["_change_type"].to_pylist())) == want
+    ds = [t for t in ray.get(lk.changes(since_txn=since).to_arrow_refs()) if len(t)]
+    assert {(u, c) for t in ds for u, c in zip(t["url"].to_pylist(),
+                                               t["_change_type"].to_pylist())} == want
+
+
 def test_evolve_gc_without_history(data_dir, tmp_path):
     lake = str(tmp_path / "lake")
     replay(os.path.join(data_dir, "events"), lake,

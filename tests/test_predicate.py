@@ -1,10 +1,9 @@
 """Delta-aware predicate pushdown through Lake.dataset().
 
-Three layers under test (state/predicate.py): parquet footer-stats pruning
-of base files and whole delta partitions, the Arrow scan filter on the base
-read path, and post-LWW-resolve filtering inside delta partitions (which
-must NOT pre-filter lineage — a tombstone may delete a base row the
-predicate would otherwise keep)."""
+Two layers under test (state/predicate.py): parquet footer-stats pruning
+of base files and whole delta partitions, and post-LWW-resolve filtering
+inside each partition's read job (which must NOT pre-filter lineage — a
+tombstone may delete a base row the predicate would otherwise keep)."""
 
 import os
 

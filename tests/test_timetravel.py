@@ -99,22 +99,27 @@ def test_snapshot_as_of_delta_mode(data_dir, pages, shards, tmp_path, scheme):
     _assert_state(L.read_all(), _oracle_prefix(pages, shards, CFG.n_shards))
 
 
-def test_dataset_as_of_distributed(data_dir, pages, shards, tmp_path, scheme):
-    """Time travel through the distributed read path (Lake.dataset), over a
-    delta-mode lake so both the base-stream and delta-resolve branches run
-    against the historical version."""
+def test_dataset_as_of_distributed(data_dir, pages, shards, tmp_path, scheme,
+                                   monkeypatch):
+    """Time travel through Lake.dataset, over a delta-mode lake, under both
+    partition-job executors: in the driver, then as Ray tasks (the single
+    cutoff LOCAL_INPUT_BYTES raised, then zeroed)."""
     import ray
 
+    from dataxray.state import manifest
+
     lake, bounds = _build(data_dir, tmp_path, scheme, sink_mode="delta")
-    ds = Lake(lake).dataset(as_of_txn=bounds[0])
-    t = pa.concat_tables([x for x in ray.get(ds.to_arrow_refs()) if len(x)],
-                         promote_options="permissive")
-    _assert_state(t, _oracle_prefix(pages, shards, SHARDS_PER_EPOCH))
-    # current snapshot via the same path still matches
-    ds2 = Lake(lake).dataset()
-    t2 = pa.concat_tables([x for x in ray.get(ds2.to_arrow_refs()) if len(x)],
-                          promote_options="permissive")
-    _assert_state(t2, _oracle_prefix(pages, shards, CFG.n_shards))
+    for cutoff in (1 << 40, 0):
+        monkeypatch.setattr(manifest, "LOCAL_INPUT_BYTES", cutoff)
+        ds = Lake(lake).dataset(as_of_txn=bounds[0])
+        t = pa.concat_tables([x for x in ray.get(ds.to_arrow_refs()) if len(x)],
+                             promote_options="permissive")
+        _assert_state(t, _oracle_prefix(pages, shards, SHARDS_PER_EPOCH))
+        # current snapshot via the same path still matches
+        ds2 = Lake(lake).dataset()
+        t2 = pa.concat_tables([x for x in ray.get(ds2.to_arrow_refs()) if len(x)],
+                              promote_options="permissive")
+        _assert_state(t2, _oracle_prefix(pages, shards, CFG.n_shards))
 
 
 def _expected_changes(old_df, new_df):
