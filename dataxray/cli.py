@@ -600,7 +600,7 @@ def run_job(job: dict, dry_run: bool = False) -> dict:
                 # (pipelines/ingest.py), then the standard replay below
                 from .pipelines.ingest import warc_to_wal
 
-                files, _fs = _resolve_reader_paths(rp)
+                files, fs = _resolve_reader_paths(rp)
                 staging = rp.get("stagingDir")
                 if not staging:
                     # this run's own scratch copy of the decoded crawl:
@@ -608,7 +608,8 @@ def run_job(job: dict, dry_run: bool = False) -> dict:
                     staging = own_staging = os.path.join(
                         "/tmp", "dataxray_cli_warc", f"stage-{time.time_ns()}")
                 warc_to_wal(files, staging,
-                            extract_text=rp.get("extractText", True))
+                            extract_text=rp.get("extractText", True),
+                            filesystem=fs)
                 rp = dict(rp, path=staging)
             pages_path = wp.get("pagesPath", rp.get("pagesPath"))
             cdc_dirty = wp.get("dirtyDir")

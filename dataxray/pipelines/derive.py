@@ -375,18 +375,19 @@ def joined_group_stats(lake_a: Lake, lake_b: Lake,
 
     _check_copartitioned(lake_a, lake_b)
     root_a, root_b = lake_a.root, lake_b.root
+    # committed partitions, read once here: each task gets its own flags
+    done_a, done_b = set(lake_a.watermarks()), set(lake_b.watermarks())
 
     @ray.remote(num_cpus=1)
-    def bucket_agg(p: int) -> pa.Table | None:
-        la, lb = Lake(root_a), Lake(root_b)
-        ta = la.resolve(p, as_of_a) if p in la.watermarks() else None
-        tb = lb.resolve(p, as_of_b) if p in lb.watermarks() else None
+    def bucket_agg(p: int, in_a: bool, in_b: bool) -> pa.Table | None:
+        ta = Lake(root_a).resolve(p, as_of_a) if in_a else None
+        tb = Lake(root_b).resolve(p, as_of_b) if in_b else None
         out = _pair_agg(_join_side(ta, text_a, lang_col),
                         _join_side(tb, text_b, None), 1)
         return out if len(out) else None
 
-    parts = sorted(set(lake_a.watermarks()) | set(lake_b.watermarks()))
-    partials = [t for t in ray.get([bucket_agg.remote(p) for p in parts])
+    partials = [t for t in ray.get([bucket_agg.remote(p, p in done_a, p in done_b)
+                                    for p in sorted(done_a | done_b)])
                 if t is not None]
     return _combine_join_stats(
         pa.concat_tables(partials) if partials else _empty_join_stats(),
@@ -433,15 +434,15 @@ def incremental_join_stats(lake_a: Lake, lake_b: Lake,
     touched = sorted({p for p, hi in wa.items() if hi > since_a}
                      | {p for p, hi in wb.items() if hi > since_b})
 
+    # wa / wb (the committed partitions and their txn_hi, read once here)
+    # travel into every task: no task re-reads the manifests
     @ray.remote(num_cpus=1)
     def bucket_delta(p: int) -> pa.Table | None:
         la, lb = Lake(root_a), Lake(root_b)
         da = (la.partition_changes(p, since_a, pre_images=True)
-              if wa.get(p, since_a) > since_a and p in la.watermarks()
-              else None)
+              if wa.get(p, since_a) > since_a else None)
         db = (lb.partition_changes(p, since_b, pre_images=True)
-              if wb.get(p, since_b) > since_b and p in lb.watermarks()
-              else None)
+              if wb.get(p, since_b) > since_b else None)
 
         def feed_urls(d: pa.Table | None) -> pa.Array:
             if d is None or len(d) == 0 or "url" not in d.column_names:
@@ -459,8 +460,8 @@ def incremental_join_stats(lake_a: Lake, lake_b: Lake,
             return t.filter(pc.is_in(pc.cast(t["url"], pa.string()),
                                      value_set=keys))
 
-        cur_a = restrict(la.resolve(p) if p in la.watermarks() else None)
-        cur_b = restrict(lb.resolve(p) if p in lb.watermarks() else None)
+        cur_a = restrict(la.resolve(p) if p in wa else None)
+        cur_b = restrict(lb.resolve(p) if p in wb else None)
 
         def old_rows(cur: pa.Table | None, d: pa.Table | None,
                      urls: pa.Array, text_col: str,

@@ -44,16 +44,19 @@ def _utf8_lossy(html: pa.ChunkedArray) -> pa.ChunkedArray:
 
 
 def warc_to_wal(files: list[str] | str, staging_dir: str,
-                extract_text: bool = True) -> str:
+                extract_text: bool = True, filesystem=None) -> str:
     """Decode WARC file(s) into WAL parquet shards under ``staging_dir``:
     (url, txn_id, seq, op, warc_ts, text, lang) with txn_id = µs fetch
     time (LWW: the later crawl of a url wins) and op='U' (recrawls never
     delete). Streaming: one decode task per file, shards written as they
-    complete."""
+    complete. ``filesystem`` (e.g. an fsspec one) reads ``files`` from a
+    remote store; None reads local paths. A record without a parseable
+    WARC-Date gets a null txn_id, which replay's Validate routes to the
+    dirty side-channel (``txn_regression``)."""
     from ..functions.text import html_to_text
     from ..sources.warc import read_warc
 
-    ds = read_warc(files)
+    ds = read_warc(files, filesystem=filesystem)
 
     def to_wal(t: pa.Table) -> pa.Table:
         ts = pc.cast(t["warc_ts"], pa.timestamp("us"))
@@ -78,11 +81,12 @@ def warc_to_wal(files: list[str] | str, staging_dir: str,
 
 def warc_ingest(files: list[str] | str, lake_dir: str, staging_dir: str,
                 cfg: ReplayConfig = ReplayConfig(),
-                extract_text: bool = True):
+                extract_text: bool = True, filesystem=None):
     """WARC crawl dump → CDC lake, end to end: decode+extract to a staged
     WAL, then the standard exactly-once LWW replay. Returns the replay's
     RunReport. Re-running after a crash is safe the same way any replay
     is: the staged WAL is deterministic and the lake's per-partition
-    watermarks skip applied work."""
-    warc_to_wal(files, staging_dir, extract_text=extract_text)
+    watermarks skip applied work. ``filesystem`` as in warc_to_wal."""
+    warc_to_wal(files, staging_dir, extract_text=extract_text,
+                filesystem=filesystem)
     return replay(staging_dir, lake_dir, cfg=cfg)

@@ -16,16 +16,21 @@ crossed with otsstreamreader's checkpointed change-stream replay (§3.3):
       → driver: label-deduped manifest commits (exactly-once)
 
 Two executors run that same chain of stage callables, chosen per epoch by
-its input size — the footer-known bytes of the WAL files plus base pages
-being replayed:
+state/manifest.py:in_driver, the one rule the lake's read paths use too:
 
-  * ≤ LOCAL_INPUT_BYTES (1 MiB, state/manifest.py — the one cutoff the
-    lake's read paths use too; e.g. a tail epoch of a few WAL segments):
-    in the driver process. The files are read with pyarrow and every stage
-    runs once over whole tables; starting a Ray Data plan plus a split,
-    fan-out and per-partition merge task wave costs several times the
-    work itself at this size.
-  * larger: distributed. Everything streams through Ray Data map stages
+  * in the driver process when the epoch's input — the footer-known bytes
+    of the WAL files plus base pages being replayed — is at most
+    LOCAL_INPUT_BYTES (1 MiB; e.g. a tail epoch of a few WAL segments), or
+    when no two tasks could run at once (Ray is not up, or the cluster has
+    one CPU). The write path streams: one WAL file (and one base-page row
+    group) at a time is read with pyarrow, validated and aligned, then
+    combined and split in batches of about cfg.batch_size rows, and each
+    partition's buffered slices are folded to their LWW winners as they
+    grow, so the driver holds about the epoch's winners plus one batch,
+    never the whole backlog. No Ray Data plan and
+    no split, fan-out or merge task wave is started: on one CPU those only
+    queue, and on a small epoch they cost several times the work itself.
+  * otherwise distributed. Everything streams through Ray Data map stages
     into the raw-task two-level exchange; the only driver-side
     materialization is one small metadata row per touched partition.
 
@@ -43,11 +48,12 @@ import time
 import uuid
 from dataclasses import dataclass
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..errors import ErrorLimit, check_budget
-from ..schema import META_FIELDS, OP_INSERT, align_table, unify
+from ..schema import META_FIELDS, OP_INSERT, PART_COL, align_table, unify
 from ..sources import wal
 from ..stages.decode import Validate
 from ..stages.merge import BatchCombiner, lww_reduce, merge_partition
@@ -144,15 +150,26 @@ def _merge_tables(p: int, tables: list[pa.Table], lake_root: str, run_id: str,
 
 
 class _AssignCombineFuse:
-    """Per-block assign-partition + LWW-combine, fused into the direct
-    exchange's split step (see direct_exchange fuse_fn)."""
+    """Per-block assign-partition → drop the events at or below their
+    partition's watermark → LWW-combine, fused into the direct exchange's
+    split step (see direct_exchange fuse_fn). Dropping applied events
+    before the combine keeps them out of every winner's ``_cnt``, so the
+    applied-event count is exact."""
 
-    def __init__(self, num_partitions: int):
+    def __init__(self, num_partitions: int, watermarks: dict[int, int]):
         self.assign = AssignPartition(num_partitions)
         self.combine = BatchCombiner(counted=True)
+        # -1 = virgin partition: even txn 0 (base-page bootstrap) is unapplied
+        self.floor = np.array([watermarks.get(p, -1) for p in range(num_partitions)],
+                              dtype=np.int64)
 
     def __call__(self, block: pa.Table) -> pa.Table:
-        return self.combine(self.assign(block))
+        block = self.assign(block)
+        if self.floor.max() >= 0:
+            codes = block[PART_COL].combine_chunks().to_numpy(zero_copy_only=False)
+            block = block.filter(pc.greater(block["txn_id"],
+                                            pa.array(self.floor[codes])))
+        return self.combine(block)
 
 
 def _warn_if_backlog_exceeds_memory(files) -> None:
@@ -227,28 +244,42 @@ def _event_dataset(streams, target: pa.Schema, dirty_dir, cfg: ReplayConfig):
     return ds
 
 
-def _event_tables(streams, target: pa.Schema, dirty_dir,
-                  cfg: ReplayConfig) -> list[pa.Table]:
+def _event_tables(streams, target: pa.Schema, dirty_dir, cfg: ReplayConfig):
     """In-process executor's input: the same stages as _event_dataset, run
-    in the driver over whole tables (events already read with pyarrow by
-    wal.read_events); one limiter holds the full cap."""
+    in the driver as the files are read — one table per WAL file
+    (wal.read_events reads them lazily) and per row group of the base
+    pages — and handed on in batches of at least ``cfg.batch_size`` rows
+    (consecutive small tables joined, a larger one alone; None = one per
+    table), so a few small WAL segments cost one combine and split while a
+    backlog streams through with about one batch in flight. One limiter
+    holds the full cap."""
     import pyarrow.parquet as pq
 
-    tables = []
-    for kind, src in streams:
-        if kind == "pages":
-            tables.append(_pages_as_events(pq.read_table(src), target))
-        else:
-            tables.append(align_table(Validate(dirty_dir)(src), target))
-
+    limiter = None
     if cfg.records_per_sec or cfg.bytes_per_sec:
         from ..stages.ratelimit import RateLimiter
 
         limiter = RateLimiter(cfg.records_per_sec, cfg.bytes_per_sec)
+    batch, rows = [], 0
+    for kind, src in streams:
+        if kind == "pages":
+            pf = pq.ParquetFile(src)
+            tables = (_pages_as_events(pf.read_row_group(i), target)
+                      for i in range(pf.num_row_groups))
+        else:
+            validate = Validate(dirty_dir)
+            tables = (align_table(validate(t), target) for t in src)
         for t in tables:
-            for i in range(0, len(t), THROTTLE_BATCH):
-                limiter(t.slice(i, THROTTLE_BATCH))
-    return tables
+            if limiter is not None:
+                for i in range(0, len(t), THROTTLE_BATCH):
+                    limiter(t.slice(i, THROTTLE_BATCH))
+            batch.append(t)
+            rows += len(t)
+            if rows >= (cfg.batch_size or 0):
+                yield pa.concat_tables(batch, promote_options="permissive")
+                batch, rows = [], 0
+    if batch:
+        yield pa.concat_tables(batch, promote_options="permissive")
 
 
 def replay(
@@ -366,13 +397,15 @@ def replay(
                         monitor=watchdog.monitor if watchdog else None)
 
     # assign + combine run INSIDE the exchange's split step (no separate
-    # map stage, one less plasma round-trip per block). direct_exchange and
-    # _merge_tables are looked up at call time so they can be wrapped
+    # map stage, one less plasma round-trip per block); in the driver the
+    # same combiner folds each partition's buffered slices. direct_exchange
+    # and _merge_tables are looked up at call time so they can be wrapped
     from ..stages.exchange import direct_exchange
 
+    fuse = _AssignCombineFuse(cfg.num_partitions, wm)
     meta_rows = direct_exchange(events, cfg.num_partitions, _merge_tables,
-                                merge_kwargs,
-                                fuse_fn=_AssignCombineFuse(cfg.num_partitions))
+                                merge_kwargs, fuse_fn=fuse,
+                                fold_fn=fuse.combine)
 
     if watchdog is not None:
         watchdog.stop()
@@ -383,10 +416,9 @@ def replay(
     if dirty_dir is not None:
         n_dirty = check_budget(dirty_dir, rows_hint, cfg.error_limit)
     report.total_error_records = n_dirty
-    # applied count from the merge side (sum of post-watermark-filter source
-    # events per partition) — the footer rows hint re-counted every row of
-    # every re-read file on incremental epochs. See lww_reduce_counted for
-    # the (bounded) residual combiner-absorption approximation.
+    # applied count from the merge side (sum of the source events above
+    # each partition's watermark, carried in _cnt) — the footer rows hint
+    # re-counted every row of every re-read file on incremental epochs
     report.read_succeed_records = sum(int(m["n_events"]) for m in meta_rows)
 
     # ---- exactly-once commit loop (driver, label = (partition, txn_hi)) ----

@@ -152,9 +152,10 @@ def read_events(
     may advance to it, even partitions that saw no rows (they provably have
     no events ≤ txn_hi).
 
-    ``in_process=True`` returns one Arrow table read here with pyarrow
-    instead of the Dataset (the replay's small-epoch executor): the same
-    files against the same unified schema, without planning a Ray read.
+    ``in_process=True`` returns, instead of the Dataset, a generator that
+    reads one Arrow table per file here with pyarrow (the replay's driver
+    executor): the same files against the same unified schema, without
+    planning a Ray read, and never more than one file in memory at once.
     """
     files = prune_files(resolve_files(source), low_watermark)
     if not files:
@@ -163,8 +164,9 @@ def read_events(
     paths = [f.path for f in files]
     pafs = filesystem_for(files[0].fs_scheme)
     if in_process:
-        data = pq.read_table(paths, schema=schema, columns=columns,
-                             filesystem=pafs, partitioning=None)
+        data = (pq.read_table(p, schema=schema, columns=columns,
+                              filesystem=pafs, partitioning=None)
+                for p in paths)
     else:
         import ray.data
 

@@ -25,12 +25,17 @@ to any shuffle). Objects flow through the local plasma store; on a
 multi-node cluster the same code moves slices over the network via Ray's
 object transfer.
 
-In-process mode: given a list of Arrow tables instead of a Dataset (the
-replay's small-epoch executor, pipelines/replay.py), the driver runs the
-same steps itself — fuse_fn, split_by_part, then merge_fn once per
-non-empty partition — with no task, object or plan. For a tail epoch of a
-few hundred KB, starting the tasks costs more than the merges' own work
-(about 2 ms each), so the caller picks this mode by input size.
+In-process mode: given an iterable of Arrow tables instead of a Dataset
+(the replay's driver executor, pipelines/replay.py), the driver runs the
+same steps itself — fuse_fn and split_by_part per table as it arrives,
+then merge_fn once per non-empty partition — with no task, object or
+plan. With ``fold_fn`` (the replay's LWW combiner) a partition's buffered
+slices are folded into one whenever they hold more than twice the rows of
+its last fold, so what the driver holds is about the stream's winners plus
+one table, not the stream. The caller picks this mode when starting tasks
+would cost more than the work (a tail epoch of a few hundred KB, whose
+merges take about 2 ms each) or when no two tasks could run at once (a
+one-CPU cluster).
 """
 
 from __future__ import annotations
@@ -94,26 +99,38 @@ def _submit(remote_fn, n: int, *args) -> list:
     return [out] if n == 1 else out
 
 
-def _exchange_in_process(tables: list[pa.Table], num_partitions: int,
-                         merge_fn, merge_kwargs: dict, fuse_fn) -> list:
-    """direct_exchange over in-memory tables, entirely in this process."""
+def _exchange_in_process(tables, num_partitions: int, merge_fn,
+                         merge_kwargs: dict, fuse_fn, fold_fn) -> list:
+    """direct_exchange over a stream of in-memory tables, entirely in this
+    process (see the module docstring's in-process mode)."""
     per_part: list[list] = [[] for _ in range(num_partitions)]
+    held = [0] * num_partitions  # rows buffered per partition
+    last = [0] * num_partitions  # rows out of its last fold
     for t in tables:
         if not len(t):
             continue
         if fuse_fn is not None:
             t = fuse_fn(t)
         for p, s in enumerate(split_by_part(t, num_partitions)):
-            if len(s):
-                per_part[p].append(s)
+            if not len(s):
+                continue
+            per_part[p].append(s)
+            held[p] += len(s)
+            if fold_fn is not None and len(per_part[p]) > 1 \
+                    and held[p] > 2 * last[p]:
+                folded = fold_fn(pa.concat_tables(
+                    per_part[p], promote_options="permissive"))
+                per_part[p] = [folded]
+                held[p] = last[p] = len(folded)
     return [merge_fn(p, parts, **merge_kwargs)
             for p, parts in enumerate(per_part) if parts]
 
 
 def direct_exchange(ds, num_partitions: int, merge_fn, merge_kwargs: dict,
-                    fuse_fn=None):
+                    fuse_fn=None, fold_fn=None):
     """Run the partition exchange + per-partition merge with raw Ray tasks,
-    or in this process when ``ds`` is a list of Arrow tables.
+    or in this process when ``ds`` is an iterable of Arrow tables (a list
+    or a generator; ``fold_fn`` applies to this mode only).
 
     ``merge_fn(p, tables, **merge_kwargs)`` runs once per non-empty
     partition (remotely for a Dataset) and returns a small metadata dict.
@@ -124,9 +141,11 @@ def direct_exchange(ds, num_partitions: int, merge_fn, merge_kwargs: dict,
     stage's output block is never written to the store as its own object.
     Without it the blocks must already carry ``_part``.
     """
-    if isinstance(ds, list):
+    import ray.data
+
+    if not isinstance(ds, ray.data.Dataset):
         return _exchange_in_process(ds, num_partitions, merge_fn,
-                                    merge_kwargs, fuse_fn)
+                                    merge_kwargs, fuse_fn, fold_fn)
     import os
     import time
 

@@ -70,14 +70,9 @@ def lww_reduce(table: pa.Table, key: str = "url") -> pa.Table:
 
 def lww_reduce_counted(table: pa.Table, key: str = "url") -> pa.Table:
     """lww_reduce that also carries ``_cnt``: how many source events each
-    winner absorbed (summed across partial reduces). The merge stage sums the
-    post-watermark-filter counts for RunReport.read_succeed_records — far
-    tighter than the unpruned file-footer rows hint, which re-counted every
-    row of every re-read file on incremental epochs. Residual approximation:
-    a combiner batch can absorb a key's below-watermark (already-applied)
-    event into an above-watermark winner's count before the merge-side
-    filter runs — bounded by one batch-width per key per epoch, vs whole
-    re-read FILES for the hint it replaces."""
+    winner absorbed (summed across partial reduces). The merge stage sums
+    the counts for RunReport.read_succeed_records; the replay drops
+    already-applied events before its combiner runs, so they are exact."""
     n = len(table)
     if CNT_COL in table.column_names:
         cnt = table[CNT_COL].combine_chunks().to_numpy(zero_copy_only=False)

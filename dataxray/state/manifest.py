@@ -55,20 +55,31 @@ def _schema_from_b64(s: str) -> pa.Schema:
 
 
 # ---------- partition jobs: one runner, sized to the work ----------
-# Partition work whose footer-known input (the compressed bytes of the
-# columns it will read) is at most this many bytes runs in the driver
-# process; larger work is distributed. The one cutoff for every such path:
-# replay epochs (pipelines/replay.py), scans, lookups, change feeds,
-# compactions and re-hashes. Write path, one post-bootstrap delta epoch on
-# a 14k-url, P = 32 lake, one Ray CPU of a shared cloud VM, 3 runs each:
-# 40 KB took 0.14-0.19 s in the driver vs 0.33-0.41 s distributed, 0.76 MB
-# 0.17-0.20 vs 0.41-0.46 s, 3 MB 0.26-0.28 vs 1.7-1.9 s. Read path, same
-# box: a predicate scan of a 32-partition delta lake over 0.25 MB of
-# projected input took 0.14-0.24 s in the driver vs 0.62 s as 32 tasks.
-# The cutoff sits below those crossovers on purpose: on a cluster the tasks
-# run in parallel and their inputs never pass through the driver, so
-# bootstraps, chunked backlogs and full scans of big lakes (MBs) stay
-# distributed.
+# The one executor rule (in_driver) for every path that runs partition
+# work: replay epochs (pipelines/replay.py), scans, lookups, change feeds,
+# compactions and re-hashes. Work runs in the driver process when its
+# footer-known input (the compressed bytes of the columns it will read) is
+# at most LOCAL_INPUT_BYTES, or when no two tasks could run at once: Ray is
+# not up, or the cluster has at most one CPU. Otherwise it is distributed.
+#
+# The byte cutoff, one Ray CPU of a shared cloud VM, 3 runs each. Write
+# path, one post-bootstrap delta epoch on a 14k-url, P = 32 lake: 40 KB
+# took 0.14-0.19 s in the driver vs 0.33-0.41 s distributed, 0.76 MB
+# 0.17-0.20 vs 0.41-0.46 s, 3 MB 0.26-0.28 vs 1.7-1.9 s. Read path: a
+# predicate scan of a 32-partition delta lake over 0.25 MB of projected
+# input took 0.14-0.24 s in the driver vs 0.62 s as 32 tasks. On a cluster
+# the tasks run in parallel and their inputs never pass through the
+# driver, so the cutoff sits below those crossovers: bootstraps, chunked
+# backlogs and full scans of big lakes (MBs) stay distributed there.
+#
+# The CPU term: on one CPU the tasks queue one after another, and their
+# plan, dispatch and object-store copies are pure overhead. A 264k-event
+# backfill took 3.7 s as a Ray Data plan with 21 split and 32 merge tasks
+# against 0.9 s in the driver, where the write path streams one WAL file
+# at a time (replay's _event_tables), so its memory stays bounded. On 2
+# and 4 CPUs of the same VM the driver still won at that size (medians
+# 0.93 vs 2.13 s and 0.99 vs 1.59 s) and at 4x it (3.3 vs 4.9 s warm on 4
+# CPUs): no crossover was measured, so the term stays at one CPU.
 LOCAL_INPUT_BYTES = 1 << 20
 
 # The LWW key, the lineage and the tombstone marker: a projected resolve
@@ -78,9 +89,17 @@ LINEAGE = ["url", "txn_id", "seq", "op"]
 
 
 def in_driver(input_bytes: int) -> bool:
-    """Whether work with this much footer-known input runs in the driver.
-    Reads LOCAL_INPUT_BYTES at call time."""
-    return input_bytes <= LOCAL_INPUT_BYTES
+    """Whether work with this much footer-known input runs in the driver:
+    when it is at most LOCAL_INPUT_BYTES, or Ray is not up, or the cluster
+    has at most one CPU. Reads the cutoff and the cluster's CPUs at call
+    time."""
+    if input_bytes <= LOCAL_INPUT_BYTES:
+        return True
+    import ray
+
+    if not ray.is_initialized():
+        return True
+    return ray.cluster_resources().get("CPU", 0) <= 1
 
 
 def _submit_jobs(fn, jobs: list[tuple], per_job: bool) -> list:
@@ -462,20 +481,16 @@ class Lake:
     def _in_driver(self, files, columns: list[str] | None = None) -> bool:
         """The executor choice of one read of ``columns`` (all when None) of
         ``files``, made once and handed to run_partition_jobs or
-        jobs_dataset: the driver when that input is at most
-        LOCAL_INPUT_BYTES (or Ray is not up). The files' total size answers
-        for a read of every column (their column chunks plus small footers)
-        and for any read when it is within the cutoff (an upper bound that
-        already selects the driver); otherwise the projection's compressed
-        column bytes come from the Parquet footers."""
-        import ray
-
-        if not ray.is_initialized():
-            return True
+        jobs_dataset, by in_driver. The files' total size answers for a
+        read of every column (their column chunks plus small footers) and
+        for any read it sends to the driver (an upper bound within the
+        cutoff, or a cluster that cannot run tasks in parallel); otherwise
+        the projection's compressed column bytes come from the Parquet
+        footers."""
         files = list(files)
-        total = sum(self.fs.size(f) for f in files)
-        if columns is None or in_driver(total):
-            return in_driver(total)
+        local = in_driver(sum(self.fs.size(f) for f in files))
+        if columns is None or local:
+            return local
         return in_driver(lakefs.footer_bytes(self.fs, files, columns))
 
     # ---------- staging / data ----------

@@ -193,3 +193,163 @@ def test_crash_resume(executor, data_dir, tmp_path, monkeypatch, scheme):
                                         + pending(_events(CFG)))
     assert rep.write_succeed_records == pending(pa.table({"url": want["url"]}))
     assert_lake_is(lake, want)
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_executor_rule_follows_cluster_cpus(tmp_path, monkeypatch, cpus):
+    """One rule, in_driver: work above the byte cutoff runs in the driver
+    when the cluster has one CPU (its tasks could only queue) and as Ray
+    tasks when it has more; Ray not being up also means the driver. Both
+    a > 1 MiB replay and a full scan of the lake it builds follow it, and
+    both reach the same answers."""
+    import ray
+
+    from dataxray.state import manifest as M
+
+    assert M.in_driver(M.LOCAL_INPUT_BYTES)
+    resources = ray.cluster_resources()
+    monkeypatch.setattr(ray, "cluster_resources",
+                        lambda: dict(resources, CPU=float(cpus)))
+    if cpus > 1:
+        monkeypatch.setattr(M, "LOCAL_INPUT_BYTES", 0)
+    want = "local" if cpus == 1 else "distributed"
+    assert M.in_driver(2 << 20) == (cpus == 1)
+    with monkeypatch.context() as m:
+        m.setattr(ray, "is_initialized", lambda: False)
+        assert M.in_driver(2 << 20)
+
+    cfg = GenConfig(n_urls=300, n_events=600, n_shards=2, html_mean=4096)
+    d = str(tmp_path / "big")
+    write_dataset(d, cfg, parallel=False)
+    lake = str(tmp_path / "lake")
+    rep = replay(os.path.join(d, "events"), lake,
+                 pages_path=os.path.join(d, "pages.parquet"),
+                 cfg=ReplayConfig(num_partitions=P))
+    assert rep.input_bytes > 1 << 20
+    assert rep.executor == want
+    assert_lake_is(lake, _oracle(cfg))
+
+    decisions = []
+    choose = Lake._in_driver
+
+    def recording(self, files, columns=None):
+        decisions.append(choose(self, files, columns))
+        return decisions[-1]
+
+    monkeypatch.setattr(Lake, "_in_driver", recording)
+    blocks = ray.get(Lake(lake).dataset().to_arrow_refs())
+    assert decisions == [cpus == 1]
+    got = pa.concat_tables([b for b in blocks if len(b)],
+                           promote_options="permissive")
+    assert sorted(got["url"].to_pylist()) == sorted(_oracle(cfg)["url"])
+
+
+def test_driver_replay_streams_one_wal_file_at_a_time(data_dir, tmp_path,
+                                                      monkeypatch):
+    """The in-driver write path reads the WAL one file per read call, never
+    the whole backlog in one, and folds each partition's buffered slices
+    through the combiner as they grow: with one batch per file
+    (``batch_size=None``), what a partition holds at any time (the input of
+    each fold, and of its final merge) stays within twice its LWW winners
+    plus one file's slice. With the default batch size these small files
+    are joined into one batch: one combine, no fold."""
+    import pyarrow.parquet as pq
+
+    from dataxray.pipelines import replay as R
+    from dataxray.schema import PART_COL
+    from dataxray.state import manifest as M
+    from dataxray.stages.merge import BatchCombiner
+
+    monkeypatch.setattr(M, "LOCAL_INPUT_BYTES", 1 << 40)
+    wal_dir = os.path.join(data_dir, "events")
+    reads = []
+    read_table = pq.read_table
+
+    def spy_read(source, *a, **k):
+        if not isinstance(source, str) or source.startswith(wal_dir):
+            reads.append(source)
+        return read_table(source, *a, **k)
+
+    monkeypatch.setattr(pq, "read_table", spy_read)
+    slice_max = np.zeros(P, dtype=np.int64)  # rows one file adds, by partition
+    held = []  # (partition, rows) each fold or final merge saw at once
+    combine = BatchCombiner.__call__
+
+    def spy_combine(self, batch):
+        out = combine(self, batch)
+        if PART_COL in batch.column_names:  # the per-file fuse
+            counts = np.bincount(out[PART_COL].to_numpy(), minlength=P)
+            np.maximum(slice_max, counts, out=slice_max)
+        else:  # a fold of one partition's buffered slices
+            held.append((int(partition_of(batch["url"], P)[0]), len(batch)))
+        return out
+
+    monkeypatch.setattr(BatchCombiner, "__call__", spy_combine)
+    merge = R._merge_tables
+
+    def spy_merge(p, tables, **kw):
+        held.append((p, sum(map(len, tables))))
+        return merge(p, tables, **kw)
+
+    monkeypatch.setattr(R, "_merge_tables", spy_merge)
+    pages = os.path.join(data_dir, "pages.parquet")
+    rep = replay(wal_dir, str(tmp_path / "lake"), pages_path=pages,
+                 cfg=ReplayConfig(num_partitions=P, batch_size=None))
+    assert rep.executor == "local"
+    assert reads == _shard_files(data_dir)  # one call per file, in order
+    want = _oracle(CFG)
+    assert_lake_is(str(tmp_path / "lake"), want)
+
+    raw = pa.concat_tables([generate_pages(CFG).select(["url"]),
+                            _events(CFG).select(["url"])])
+    winners = np.bincount(partition_of(pc.unique(raw["url"]), P), minlength=P)
+    assert len(held) > 2 * P  # partitions did fold before their merge
+    for p, rows in held:
+        assert rows <= 2 * winners[p] + slice_max[p], (p, rows)
+
+    reads.clear()
+    held.clear()
+    replay(wal_dir, str(tmp_path / "lake2"), pages_path=pages,
+           cfg=ReplayConfig(num_partitions=P))
+    assert reads == _shard_files(data_dir)
+    assert len(held) == P  # the final merges only
+    assert_lake_is(str(tmp_path / "lake2"), want)
+
+
+def test_resume_counts_exactly_the_events_above_each_watermark(
+        executor, data_dir, tmp_path, monkeypatch):
+    """An epoch dies after 3 of its P data commits, leaving those
+    partitions' watermarks ahead of the rest; more WAL lands before the
+    resume. The resume reads every file above the global low watermark,
+    yet reports exactly the events above each event's own partition
+    watermark as applied: events it re-reads but had already applied are
+    dropped before the combiner, so they are never counted."""
+    from dataxray.state import manifest as M
+
+    files = _shard_files(data_dir)
+    lake = str(tmp_path / "lake")
+    cfg = ReplayConfig(num_partitions=P)
+    replay(_wal(tmp_path, files[:2]), lake,
+           pages_path=os.path.join(data_dir, "pages.parquet"), cfg=cfg)
+
+    real_commit = M.Lake.commit
+    calls = {"n": 0}
+
+    def dying_commit(self, *a, **k):
+        calls["n"] += 1
+        return real_commit(self, *a, **k) if calls["n"] <= 3 else "skipped"
+
+    monkeypatch.setattr(M.Lake, "commit", dying_commit)
+    replay(_wal(tmp_path, files[:4]), lake, cfg=cfg)
+    monkeypatch.setattr(M.Lake, "commit", real_commit)
+    wm = Lake(lake).watermarks()
+    assert len(set(wm.values())) > 1  # non-uniform
+
+    rep = replay(_wal(tmp_path, files), lake, cfg=cfg)
+    assert rep.executor == executor
+    ev = _events(CFG, range(2, CFG.n_shards))
+    ev = ev.filter(valid_mask(ev))
+    floor = np.array([wm[p] for p in range(P)])
+    above = ev["txn_id"].to_numpy() > floor[partition_of(ev["url"], P)]
+    assert rep.read_succeed_records == int(above.sum())
+    assert_lake_is(lake, _oracle(CFG))
