@@ -34,6 +34,10 @@ state/manifest.py:in_driver, the one rule the lake's read paths use too:
     into the raw-task two-level exchange; the only driver-side
     materialization is one small metadata row per touched partition.
 
+A pass over the byte cutoff is checked against the memory that holds its
+decoded input — the driver's heap, which cannot spill, or the object
+store — and steered to pipelines.tail.replay_chunked when it may not fit.
+
 Both feed the same commit loop, so exactly-once, watermark filtering, the
 dirty side-channel, the error budget and schema evolution have one
 implementation. Untouched partitions are never read or rewritten
@@ -98,8 +102,9 @@ def _merge_tables(p: int, tables: list[pa.Table], lake_root: str, run_id: str,
                   wm: dict, target: pa.Schema, sink_mode: str = "rewrite",
                   compact_threshold: int = 8, monitor=None) -> dict:
     """Per-partition final merge, one exchange merge call each (a Ray task,
-    or in the driver for a small epoch): filter by the partition watermark,
-    stage new state, return small commit metadata.
+    or in the driver): stage new state from the partition's events (those
+    at or below its watermark ``wm[p]`` were already dropped by
+    _AssignCombineFuse), return small commit metadata.
 
     sink_mode="rewrite": fold in current state, produce the resolved
     partition (one base file). sink_mode="delta": write ONLY this epoch's
@@ -114,11 +119,9 @@ def _merge_tables(p: int, tables: list[pa.Table], lake_root: str, run_id: str,
     events = tables[0] if len(tables) == 1 else pa.concat_tables(
         tables, promote_options="permissive"
     )
-    # -1 = virgin partition: even txn 0 (base-page bootstrap) is unapplied
     watermark = wm.get(p, -1)
-    events = events.filter(pc.greater(events["txn_id"], watermark))
     # exact applied-event accounting: _cnt sums the source rows each combiner
-    # winner absorbed; rows at/below the watermark were applied by a prior run
+    # winner absorbed
     events, n_events = strip_counts(events)
     if len(events) == 0:
         if monitor is not None:
@@ -172,27 +175,33 @@ class _AssignCombineFuse:
         return self.combine(block)
 
 
-def _warn_if_backlog_exceeds_memory(files) -> None:
-    """One replay's exchange holds the pass's decoded events in the
-    object store; a backlog much larger than the store spills to disk and
-    collapses throughput ~10x (measured, BASELINE.md). Steer big backlogs
-    to pipelines.tail.replay_chunked instead of degrading silently."""
+def _warn_if_backlog_exceeds_memory(nbytes: int, local: bool) -> None:
+    """One replay pass holds its decoded input at once. Distributed, the
+    exchange holds it in the object store, and a backlog much larger than
+    the store spills to disk and collapses throughput ~10x (measured,
+    BASELINE.md). In the driver, the held LWW winners — in a bootstrap,
+    every base page — sit in the driver's heap (Ray's ``memory``
+    resource), which cannot spill. Steer big backlogs to
+    pipelines.tail.replay_chunked instead of degrading silently.
+    ``nbytes`` is the pass's footer-known input."""
     import warnings
 
+    where = "memory" if local else "object_store_memory"
     try:
         import ray
 
-        store = ray.available_resources().get("object_store_memory", 0) or             ray.cluster_resources().get("object_store_memory", 0)
-    except Exception:  # pragma: no cover
+        budget = ray.available_resources().get(where, 0) or \
+            ray.cluster_resources().get(where, 0)
+    except Exception:  # Ray is not up: no budget to check against
         return
-    if not store:
+    if not budget:
         return
-    nbytes = sum(f.nbytes for f in files)
-    # zstd parquet decodes to roughly 3-5x in Arrow; warn at ~1/8 of store
-    if nbytes * 4 > store / 2:
+    # zstd parquet decodes to roughly 3-5x in Arrow; warn at ~1/8 of budget
+    if nbytes * 4 > budget / 2:
+        place = "the driver's memory" if local else "the object store"
         warnings.warn(
-            f"replaying {nbytes >> 20} MiB of WAL in one pass may spill the "
-            f"object store ({int(store) >> 30} GiB); consider "
+            f"replaying {nbytes >> 20} MiB in one pass may exceed {place} "
+            f"({int(budget) >> 20} MiB); consider "
             "pipelines.tail.replay_chunked for bounded sub-epochs",
             stacklevel=3,
         )
@@ -354,12 +363,14 @@ def replay(
     local = in_driver(input_bytes)
     report.executor = "local" if local else "distributed"
     report.input_bytes = input_bytes
+    from ..state.manifest import LOCAL_INPUT_BYTES  # read at call time
+
+    if input_bytes > LOCAL_INPUT_BYTES:
+        _warn_if_backlog_exceeds_memory(input_bytes, local)
     if events_dir is not None:
         ev, ev_schema, n, txn_hi_run = wal.read_events(
             ev_files, low_watermark=low, in_process=local)
         if ev is not None:
-            if not local:
-                _warn_if_backlog_exceeds_memory(ev_files)
             streams.append(("events", ev))
             schemas.append(ev_schema)
             rows_hint += n

@@ -149,19 +149,33 @@ def run_partition_jobs(fn, jobs: list[tuple], local: bool) -> list:
 
 def jobs_dataset(fn, jobs: list[tuple], local: bool):
     """Ray Dataset over the Arrow tables of run_partition_jobs(fn, jobs,
-    local). In the driver the tables become one block (each ``from_arrow``
-    block costs milliseconds). As tasks, every job's table is its own
-    return value and block: it stays in the object store and never passes
-    through the driver."""
+    local). In the driver consecutive tables are joined into blocks of up to
+    Ray Data's target_max_block_size, each put into the object store as
+    soon as it fills (every block costs a metadata task of milliseconds):
+    a small read is one block, and a large one — a one-CPU cluster runs
+    every read in the driver — holds at most one block plus one job's table
+    in the driver, never the whole read. As tasks, every job's table is its
+    own return value and block: it stays in the object store and never
+    passes through the driver."""
     import ray
     import ray.data
 
     if local or not jobs:
-        tables = [t for t in (fn(*job) for job in jobs) if len(t.schema)]
-        if not tables:
+        cap = ray.data.DataContext.get_current().target_max_block_size
+        refs, pending, held = [], [], 0
+        for i, job in enumerate(jobs):
+            t = fn(*job)
+            if len(t.schema):
+                pending.append(t)
+                held += t.nbytes
+            if pending and (i == len(jobs) - 1
+                            or (cap is not None and held >= cap)):
+                refs.append(ray.put(
+                    pa.concat_tables(pending, promote_options="permissive")))
+                pending, held = [], 0
+        if not refs:
             return ray.data.from_items([])
-        return ray.data.from_arrow(
-            pa.concat_tables(tables, promote_options="permissive"))
+        return ray.data.from_arrow_refs(refs)
     refs = _submit_jobs(fn, jobs, True)
     # settle the refs before handing them to a Dataset: building one over
     # still-pending tiny task outputs intermittently trips a Ray core
@@ -707,9 +721,9 @@ class Lake:
     def compact_all(self, parallel: bool = True,
                     min_delta_bytes: int | None = None) -> int:
         """Compact delta-bearing partitions; returns count compacted. One
-        job per partition through run_partition_jobs: distributed when
-        their files hold more than LOCAL_INPUT_BYTES, else (and always with
-        ``parallel=False``) in the driver.
+        job per partition through run_partition_jobs: in the driver when
+        in_driver says so for their files (or with ``parallel=False``),
+        else distributed.
 
         min_delta_bytes schedules by accumulated DELTA VOLUME rather than
         file count: a hot partition with many large deltas compacts early, a
@@ -918,9 +932,10 @@ class Lake:
         ≪ P), then filter to the requested keys — the O(keys/P) GET path a
         serving layer needs, no full scan, no shuffle. Reads the touched
         partitions' manifests only, and ``columns`` (plus the key, lineage
-        and tombstone columns) of their files. Runs in the driver when that
-        input is at most LOCAL_INPUT_BYTES; larger lookups are distributed:
-        min(touched partitions, cluster CPUs) tasks (run_partition_jobs).
+        and tombstone columns) of their files. Runs in the driver when
+        in_driver says so for that input (at most LOCAL_INPUT_BYTES, or a
+        one-CPU cluster); otherwise distributed: min(touched partitions,
+        cluster CPUs) tasks (run_partition_jobs).
         Absent keys and uncommitted partitions simply return no row.
         ``as_of_txn`` looks up in a retained historical snapshot."""
         from ..hashing import partition_of
@@ -1019,10 +1034,11 @@ class Lake:
                 pre_images: bool = False):
         """Change feed as a Ray Dataset: one diff job per partition (the
         diff is partition-local by construction — both snapshots hash on the
-        same key — so no shuffle). In the driver when the snapshots' files
-        hold at most LOCAL_INPUT_BYTES (one block); larger feeds are
-        distributed: min(partitions, cluster CPUs) tasks (jobs_dataset),
-        one block per partition, left in the object store.
+        same key — so no shuffle). In the driver when in_driver says so for
+        the snapshots' files (at most LOCAL_INPUT_BYTES, or a one-CPU
+        cluster), the diffs joined into blocks (jobs_dataset); otherwise
+        distributed: min(partitions, cluster CPUs) tasks, one block per
+        partition, left in the object store.
 
         When the window CROSSES a partition-evolution boundary, partition
         ids change meaning, so the old snapshot is first RE-HASHED into the
@@ -1091,11 +1107,11 @@ class Lake:
         whole lineage (partition-local — no shuffle), pure-base ones just
         read. Only ``columns``, the predicate columns and the key / lineage /
         tombstone columns are read; columns older files lack read as nulls.
-        The jobs run in the driver and return one block when that projected
-        input is at most LOCAL_INPUT_BYTES; larger scans are distributed:
-        min(partitions, cluster CPUs) tasks (jobs_dataset), one block per
-        partition, left in the object store — the rows never pass through
-        the driver.
+        The jobs run in the driver when in_driver says so for that projected
+        input (at most LOCAL_INPUT_BYTES, or a one-CPU cluster), their
+        tables joined into blocks (jobs_dataset); otherwise distributed:
+        min(partitions, cluster CPUs) tasks, one block per partition, left
+        in the object store — the rows never pass through the driver.
 
         ``predicate`` — a list of ``(col, op, value)`` conjuncts or a
         ``state.predicate.Predicate`` — pushes down in two layers (see that

@@ -25,6 +25,8 @@ from dataxray.state.manifest import Lake
 CFG = GenConfig(n_urls=300, n_events=3_000, n_shards=6, html_mean=48, zipf_s=1.2)
 DIRTY_CFG = GenConfig(n_urls=100, n_events=2_000, n_shards=2, html_mean=32,
                       dirty_frac=0.05)
+# its replay input (about 1.3 MB) is over the 1 MiB byte cutoff
+BIG_CFG = GenConfig(n_urls=300, n_events=600, n_shards=2, html_mean=4096)
 P = 8
 SCHEMES = ["", "mocks3://"]
 
@@ -34,6 +36,22 @@ def data_dir(tmp_path_factory):
     d = str(tmp_path_factory.mktemp("execdata"))
     write_dataset(d, CFG, parallel=False)
     return d
+
+
+@pytest.fixture(scope="module")
+def big_dir(tmp_path_factory):
+    d = str(tmp_path_factory.mktemp("bigdata"))
+    write_dataset(d, BIG_CFG, parallel=False)
+    return d
+
+
+def _one_cpu(monkeypatch, **resources):
+    """Make the cluster report one CPU (and ``resources``) to the engine."""
+    import ray
+
+    real = ray.cluster_resources()
+    monkeypatch.setattr(ray, "cluster_resources",
+                        lambda: dict(real, CPU=1.0, **resources))
 
 
 def _events(cfg, shards=None):
@@ -196,7 +214,8 @@ def test_crash_resume(executor, data_dir, tmp_path, monkeypatch, scheme):
 
 
 @pytest.mark.parametrize("cpus", [1, 4])
-def test_executor_rule_follows_cluster_cpus(tmp_path, monkeypatch, cpus):
+def test_executor_rule_follows_cluster_cpus(big_dir, tmp_path, monkeypatch,
+                                            cpus):
     """One rule, in_driver: work above the byte cutoff runs in the driver
     when the cluster has one CPU (its tasks could only queue) and as Ray
     tasks when it has more; Ray not being up also means the driver. Both
@@ -218,16 +237,13 @@ def test_executor_rule_follows_cluster_cpus(tmp_path, monkeypatch, cpus):
         m.setattr(ray, "is_initialized", lambda: False)
         assert M.in_driver(2 << 20)
 
-    cfg = GenConfig(n_urls=300, n_events=600, n_shards=2, html_mean=4096)
-    d = str(tmp_path / "big")
-    write_dataset(d, cfg, parallel=False)
     lake = str(tmp_path / "lake")
-    rep = replay(os.path.join(d, "events"), lake,
-                 pages_path=os.path.join(d, "pages.parquet"),
+    rep = replay(os.path.join(big_dir, "events"), lake,
+                 pages_path=os.path.join(big_dir, "pages.parquet"),
                  cfg=ReplayConfig(num_partitions=P))
     assert rep.input_bytes > 1 << 20
     assert rep.executor == want
-    assert_lake_is(lake, _oracle(cfg))
+    assert_lake_is(lake, _oracle(BIG_CFG))
 
     decisions = []
     choose = Lake._in_driver
@@ -241,7 +257,96 @@ def test_executor_rule_follows_cluster_cpus(tmp_path, monkeypatch, cpus):
     assert decisions == [cpus == 1]
     got = pa.concat_tables([b for b in blocks if len(b)],
                            promote_options="permissive")
-    assert sorted(got["url"].to_pylist()) == sorted(_oracle(cfg)["url"])
+    assert sorted(got["url"].to_pylist()) == sorted(_oracle(BIG_CFG)["url"])
+
+
+def test_one_cpu_reads_over_the_cutoff_put_block_by_block(big_dir, tmp_path,
+                                                          monkeypatch):
+    """On one CPU a scan or change feed over the byte cutoff runs in the
+    driver, but its partition tables are not joined into one table there:
+    each block goes into the object store once it reaches Ray Data's target
+    block size, so the driver holds at most one block plus one partition's
+    table, never the whole read. The blocks hold the same rows."""
+    import ray
+    import ray.data
+
+    from dataxray.state import manifest as M
+
+    lake = str(tmp_path / "lake")
+    cfg = ReplayConfig(num_partitions=P, history=True)
+    replay(None, lake, pages_path=os.path.join(big_dir, "pages.parquet"),
+           cfg=cfg)
+    replay(os.path.join(big_dir, "events"), lake, cfg=cfg)
+    lake_bytes = sum(os.path.getsize(os.path.join(r, f))
+                     for r, _, fs in os.walk(lake) for f in fs
+                     if f.endswith(".parquet"))
+    assert lake_bytes > M.LOCAL_INPUT_BYTES
+    _one_cpu(monkeypatch)
+    cap = 64 << 10
+    monkeypatch.setattr(ray.data.DataContext.get_current(),
+                        "target_max_block_size", cap)
+    tables, puts = [], []  # bytes of every job's table / every put block
+    jobs_dataset, put = M.jobs_dataset, ray.put
+
+    def spy_jobs_dataset(fn, jobs, local):
+        assert local
+
+        def job(*a):
+            t = fn(*a)
+            tables.append(t.nbytes)
+            return t
+
+        return jobs_dataset(job, jobs, local)
+
+    def spy_put(value, **k):
+        if isinstance(value, pa.Table):
+            puts.append(value.nbytes)
+        return put(value, **k)
+
+    monkeypatch.setattr(M, "jobs_dataset", spy_jobs_dataset)
+    monkeypatch.setattr(ray, "put", spy_put)
+    feed = Lake(lake).changes_table(since_txn=0)
+    for read, want in ((lambda lk: lk.dataset(), _oracle(BIG_CFG)["url"]),
+                       (lambda lk: lk.changes(since_txn=0), feed["url"].to_pylist())):
+        tables.clear()
+        puts.clear()
+        got = read(Lake(lake)).to_arrow_refs()
+        assert sum(tables) > 4 * cap
+        assert 1 < len(puts) == len(got)
+        assert max(puts) <= cap + max(tables) < sum(tables)
+        rows = pa.concat_tables([b for b in ray.get(got) if len(b)],
+                                promote_options="permissive")
+        assert sorted(rows["url"].to_pylist()) == sorted(want)
+
+
+def test_large_driver_replay_warns_against_driver_memory(big_dir, data_dir,
+                                                         tmp_path,
+                                                         monkeypatch):
+    """The driver holds a replay's LWW winners in its heap, which cannot
+    spill: a replay over the byte cutoff that runs there only because the
+    cluster has one CPU is checked against the node's memory and steered to
+    replay_chunked when it may not fit. Small epochs are not checked."""
+    import warnings
+
+    import ray
+
+    _one_cpu(monkeypatch, memory=64 << 10)
+    monkeypatch.setattr(ray, "available_resources", ray.cluster_resources)
+    with pytest.warns(UserWarning, match="driver's memory.*replay_chunked"):
+        rep = replay(os.path.join(big_dir, "events"), str(tmp_path / "big"),
+                     pages_path=os.path.join(big_dir, "pages.parquet"),
+                     cfg=ReplayConfig(num_partitions=P))
+    assert rep.executor == "local"
+    assert_lake_is(str(tmp_path / "big"), _oracle(BIG_CFG))
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = replay(os.path.join(data_dir, "events"), str(tmp_path / "small"),
+                     pages_path=os.path.join(data_dir, "pages.parquet"),
+                     cfg=ReplayConfig(num_partitions=P))
+    assert not [w for w in caught if "replay_chunked" in str(w.message)]
+    assert rep.executor == "local"
+    assert 4 * rep.input_bytes > 64 << 10  # over the budget, yet not checked
 
 
 def test_driver_replay_streams_one_wal_file_at_a_time(data_dir, tmp_path,
