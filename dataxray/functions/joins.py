@@ -75,6 +75,23 @@ def full_outer_groupjoin(left, right, left_key: str, right_key: str,
     return l.union(r).groupby(_KEY).map_groups(emit, batch_format="pyarrow")
 
 
+def check_copartitioned(lake_a, lake_b) -> None:
+    """Refuse two lakes whose bucket i may hold different keys: both must
+    report the same partitioner id, partition count and generation (a
+    partition evolution on one side silently breaks co-bucketing)."""
+    ma, mb = lake_a.meta(), lake_b.meta()
+    for field in ("partitioner", "num_partitions"):
+        if ma[field] != mb[field]:
+            raise ValueError(
+                f"co-partitioned lakes need matching {field}: "
+                f"{ma[field]!r} != {mb[field]!r}")
+    if lake_a.generation() != lake_b.generation():
+        raise ValueError(
+            "co-partitioned lakes at different generations: "
+            f"{lake_a.generation()} != {lake_b.generation()} — evolve both "
+            "sides (or neither) first")
+
+
 def copartitioned_join(lake_a, lake_b, on: str = "url",
                        join_type: str = "inner",
                        columns_a: list[str] | None = None,
@@ -82,55 +99,35 @@ def copartitioned_join(lake_a, lake_b, on: str = "url",
                        right_suffix: str = "_b"):
     """Storage-partitioned join: two lakes bucketed by the SAME partitioner
     on the join key join with ZERO shuffle — bucket i of A can only match
-    bucket i of B, so the plan is one co-located task per partition doing a
-    plain Arrow hash join over the two resolved bucket states. At 100 TB
-    this turns the most expensive operation in the system (an all-to-all
-    exchange of both sides) into an embarrassingly parallel per-partition
-    pass — the lakehouse "storage-partitioned join" optimization (Spark
-    SPJ / Iceberg bucket joins); the reference engine has no join at all.
+    bucket i of B, so the plan is one partition job per bucket committed on
+    either side, a plain Arrow join of the two projected bucket states
+    (jobs_dataset: in the driver or as Ray tasks, by in_driver on the
+    projected input). A side with no rows in a bucket reads as an empty
+    table of its projected schema, so every ``join_type`` Arrow knows
+    (inner, left/right/full outer, semi, anti) holds per bucket and
+    therefore overall. At 100 TB this turns the most expensive operation in
+    the system (an all-to-all exchange of both sides) into an
+    embarrassingly parallel per-partition pass — the lakehouse
+    "storage-partitioned join" optimization (Spark SPJ / Iceberg bucket
+    joins); the reference engine has no join at all.
 
-    Safety: refuses unless both lakes report the same partitioner id,
-    partition count, and generation (a partition evolution on one side
-    silently breaks co-bucketing — the exact failure the check prevents).
-    Returns a Dataset with A's columns plus B's (suffixed on collision)."""
-    import ray
-    import ray.data
+    Safety: refuses unless check_copartitioned passes. Returns a Dataset
+    with A's columns plus B's (suffixed on collision)."""
+    from ..state.manifest import _read_columns, _read_job, jobs_dataset
 
-    ma, mb = lake_a.meta(), lake_b.meta()
-    for field in ("partitioner", "num_partitions"):
-        if ma[field] != mb[field]:
-            raise ValueError(
-                f"co-partitioned join requires matching {field}: "
-                f"{ma[field]!r} != {mb[field]!r}")
-    if lake_a.generation() != lake_b.generation():
-        raise ValueError(
-            "co-partitioned join across different lake generations: "
-            f"{lake_a.generation()} != {lake_b.generation()} — evolve both "
-            "sides (or neither) before joining")
-    root_a, root_b = lake_a.root, lake_b.root
+    check_copartitioned(lake_a, lake_b)
+    sides = [(lake, lake._snapshot_files(), cols,
+              lake._state_schema(lake.meta()))
+             for lake, cols in ((lake_a, columns_a), (lake_b, columns_b))]
 
-    @ray.remote(num_cpus=1)
-    def join_bucket(p: int) -> pa.Table | None:
-        from ..state.manifest import Lake
-
-        ta = Lake(root_a).resolve(p)
-        tb = Lake(root_b).resolve(p)
-        if ta is None or tb is None:
-            # a bucket missing on either side joins to nothing (inner);
-            # outer flavors would need the absent side's schema for null
-            # fill — resolve() can't know it, so emit the empty result and
-            # let the caller outer-join via the cogroup path if needed
-            return None
-        if columns_a:
-            ta = ta.select(columns_a)
-        if columns_b:
-            tb = tb.select(columns_b)
+    def join_bucket(p: int) -> pa.Table:
+        ta, tb = (_read_job(lake, p, files.get(p, []), cols, [], None, schema)
+                  for lake, files, cols, schema in sides)
         return ta.join(tb, keys=on, join_type=join_type,
                        right_suffix=right_suffix)
 
-    parts = sorted(lake_a.watermarks())
-    refs = [join_bucket.remote(p) for p in parts]
-    done = [r for r, t in zip(refs, ray.get(refs)) if t is not None and len(t)]
-    if not done:
-        return ray.data.from_items([])
-    return ray.data.from_arrow_refs(done)
+    local = all(lake._in_driver((f for fs_ in files.values() for f in fs_),
+                                _read_columns(cols))
+                for lake, files, cols, _ in sides)
+    parts = sorted({p for _, files, _, _ in sides for p in files})
+    return jobs_dataset(join_bucket, [(p,) for p in parts], local)

@@ -24,7 +24,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..state.manifest import Lake
+from ..functions.joins import check_copartitioned
+from ..state.manifest import (Lake, _read_columns, _read_job,
+                              run_partition_jobs)
 
 
 def _empty_stats(group_col: str) -> pa.Table:
@@ -299,16 +301,9 @@ def _empty_join_stats() -> pa.Table:
                      "sum_len": pa.array([], pa.int64())})
 
 
-def _join_side(t: pa.Table | None, text_col: str,
-               lang_col: str | None) -> pa.Table:
-    """(url, _len[, lang]) projection of a resolved bucket state — the only
-    payload the join aggregate needs, so per-bucket join inputs stay tiny."""
-    if t is None or len(t) == 0 or "url" not in (t.column_names if t else []):
-        cols = {"url": pa.array([], pa.string()),
-                "_len": pa.array([], pa.int64())}
-        if lang_col:
-            cols["lang"] = pa.array([], pa.string())
-        return pa.table(cols)
+def _join_side(t: pa.Table, text_col: str, lang_col: str | None) -> pa.Table:
+    """(url, _len[, lang]) projection of a bucket's rows — the only payload
+    the join aggregate needs, so per-bucket join inputs stay tiny."""
     ln = pc.fill_null(pc.utf8_length(t[text_col]), 0).cast(pa.int64())
     cols = {"url": pc.cast(t["url"], pa.string()), "_len": ln}
     if lang_col:
@@ -337,27 +332,15 @@ def _pair_agg(a: pa.Table, b: pa.Table, sign: int) -> pa.Table:
     return g.rename_columns(["lang", "n_pairs", "sum_len"])
 
 
-def _combine_join_stats(base: pa.Table, delta: pa.Table) -> pa.Table:
-    """base + delta for the join view (driver-side, group-cardinality
-    rows). Langs whose pair count reaches 0 drop out."""
-    both = pa.concat_tables([base, delta], promote_options="permissive")
+def _combine_join_stats(*tables: pa.Table) -> pa.Table:
+    """Sum of join-view partials, e.g. base + delta (driver-side,
+    group-cardinality rows). Langs whose pair count reaches 0 drop out."""
+    both = pa.concat_tables([_empty_join_stats(), *tables],
+                            promote_options="permissive")
     g = pa.TableGroupBy(both, ["lang"]).aggregate(
         [("n_pairs", "sum"), ("sum_len", "sum")])
     g = g.rename_columns(["lang", "n_pairs", "sum_len"])
     return g.filter(pc.not_equal(g["n_pairs"], 0)).sort_by("lang")
-
-
-def _check_copartitioned(lake_a: Lake, lake_b: Lake) -> None:
-    ma, mb = lake_a.meta(), lake_b.meta()
-    for field in ("partitioner", "num_partitions"):
-        if ma[field] != mb[field]:
-            raise ValueError(
-                f"join view requires matching {field}: "
-                f"{ma[field]!r} != {mb[field]!r}")
-    if lake_a.generation() != lake_b.generation():
-        raise ValueError(
-            "join view across different lake generations: "
-            f"{lake_a.generation()} != {lake_b.generation()}")
 
 
 def joined_group_stats(lake_a: Lake, lake_b: Lake,
@@ -369,29 +352,29 @@ def joined_group_stats(lake_a: Lake, lake_b: Lake,
     """Full recompute of the join view: per-lang (n_pairs, sum_len) over the
     storage-partitioned inner join of two co-bucketed lakes. ZERO shuffle —
     bucket i of A can only match bucket i of B, so the plan is one
-    co-located join+aggregate task per partition; the driver only ever sees
-    group-cardinality rows per bucket."""
-    import ray
+    join+aggregate partition job per bucket holding data on both sides
+    (run_partition_jobs: in the driver or as Ray tasks, by in_driver on the
+    projected input). Each side reads only url, its text column and A's
+    lang column; the driver only ever sees group-cardinality rows per
+    bucket."""
+    check_copartitioned(lake_a, lake_b)
+    cols_a, cols_b = ["url", text_a, lang_col], ["url", text_b]
+    fa, fb = lake_a._snapshot_files(as_of_a), lake_b._snapshot_files(as_of_b)
+    sa, sb = (lk._state_schema(lk.meta()) for lk in (lake_a, lake_b))
 
-    _check_copartitioned(lake_a, lake_b)
-    root_a, root_b = lake_a.root, lake_b.root
-    # committed partitions, read once here: each task gets its own flags
-    done_a, done_b = set(lake_a.watermarks()), set(lake_b.watermarks())
+    def bucket_agg(p: int) -> pa.Table:
+        ta = _read_job(lake_a, p, fa[p], cols_a, [], None, sa)
+        tb = _read_job(lake_b, p, fb[p], cols_b, [], None, sb)
+        return _pair_agg(_join_side(ta, text_a, lang_col),
+                         _join_side(tb, text_b, None), 1)
 
-    @ray.remote(num_cpus=1)
-    def bucket_agg(p: int, in_a: bool, in_b: bool) -> pa.Table | None:
-        ta = Lake(root_a).resolve(p, as_of_a) if in_a else None
-        tb = Lake(root_b).resolve(p, as_of_b) if in_b else None
-        out = _pair_agg(_join_side(ta, text_a, lang_col),
-                        _join_side(tb, text_b, None), 1)
-        return out if len(out) else None
-
-    partials = [t for t in ray.get([bucket_agg.remote(p, p in done_a, p in done_b)
-                                    for p in sorted(done_a | done_b)])
-                if t is not None]
+    parts = [p for p in sorted(fa) if fa[p] and fb.get(p)]
+    local = (lake_a._in_driver((f for p in parts for f in fa[p]),
+                               _read_columns(cols_a))
+             and lake_b._in_driver((f for p in parts for f in fb[p]),
+                                   _read_columns(cols_b)))
     return _combine_join_stats(
-        pa.concat_tables(partials) if partials else _empty_join_stats(),
-        _empty_join_stats())
+        *run_partition_jobs(bucket_agg, [(p,) for p in parts], local))
 
 
 def incremental_join_stats(lake_a: Lake, lake_b: Lake,
@@ -409,93 +392,90 @@ def incremental_join_stats(lake_a: Lake, lake_b: Lake,
     V' = V + ΔA⋈B + A⋈ΔB + ΔA⋈ΔB algebra folded into one signed pass over
     the changed-key set K = keys(ΔA) ∪ keys(ΔB). Because both lakes bucket
     by the same url partitioner, K's bucket on either side is the same
-    bucket, so each delta is ONE co-located task per TOUCHED partition
-    (untouched partitions are pruned by manifest watermarks — pure
-    metadata, no data read): resolve the two current bucket states once,
-    restrict to K, reconstruct each side's old rows as (current rows for
-    keys that side's feed didn't touch) + (that feed's
-    update_preimage/delete rows), then emit +new-join-agg and
-    -old-join-agg partials. Cost per refresh is O(touched buckets) reads
-    + O(|K|) join work; the driver combines group-cardinality rows only.
+    bucket, so each delta is ONE partition job per TOUCHED partition
+    (run_partition_jobs: in the driver or as Ray tasks, by in_driver on
+    their snapshots' files; untouched partitions are pruned by the
+    manifests, read once here — pure metadata, no data read): diff each
+    changed side's bucket between its two snapshots, read the two current
+    bucket states restricted to K (url, text and lang columns only),
+    reconstruct each side's old rows as (current rows for keys that side's
+    feed didn't touch) + (that feed's update_preimage/delete rows), then
+    emit +new-join-agg and -old-join-agg partials. Cost per refresh is
+    O(touched buckets) reads + O(|K|) join work; the driver combines
+    group-cardinality rows only.
 
     Equals joined_group_stats(lake_a, lake_b) by construction; the pytest
     + DuckDB oracle (`cdc_incremental_join`) prove it."""
-    import ray
-
     from ..stages.merge import CHANGE_COL
 
-    _check_copartitioned(lake_a, lake_b)
+    check_copartitioned(lake_a, lake_b)
     if base is None:
         base = joined_group_stats(lake_a, lake_b, as_of_a=since_a,
                                   as_of_b=since_b, lang_col=lang_col,
                                   text_a=text_a, text_b=text_b)
-    root_a, root_b = lake_a.root, lake_b.root
-    wa, wb = lake_a.watermarks(), lake_b.watermarks()
-    touched = sorted({p for p, hi in wa.items() if hi > since_a}
-                     | {p for p, hi in wb.items() if hi > since_b})
+    # per side: the current files of every committed partition, and the
+    # files as of ``since`` of each partition changed after it
+    files = []
+    for lake, since in ((lake_a, since_a), (lake_b, since_b)):
+        gen, mans = lake.generation(), lake._manifests()
+        changed = {p: m for p, m in mans.items() if m["txn_hi"] > since}
+        files.append((lake._files_at(mans, None, gen), {p: [] for p in changed}
+                      | lake._files_at(changed, since, gen)))
+    (fa, fa_old), (fb, fb_old) = files
+    cols_a, cols_b = ["url", text_a, lang_col], ["url", text_b]
+    sa, sb = (lk._state_schema(lk.meta()) for lk in (lake_a, lake_b))
 
-    # wa / wb (the committed partitions and their txn_hi, read once here)
-    # travel into every task: no task re-reads the manifests
-    @ray.remote(num_cpus=1)
-    def bucket_delta(p: int) -> pa.Table | None:
-        la, lb = Lake(root_a), Lake(root_b)
-        da = (la.partition_changes(p, since_a, pre_images=True)
-              if wa.get(p, since_a) > since_a else None)
-        db = (lb.partition_changes(p, since_b, pre_images=True)
-              if wb.get(p, since_b) > since_b else None)
+    def bucket_delta(p: int) -> pa.Table:
+        da = (lake_a.partition_changes(p, since_a, pre_images=True,
+                                       files=(fa_old[p], fa[p]))
+              if p in fa_old else None)
+        db = (lake_b.partition_changes(p, since_b, pre_images=True,
+                                       files=(fb_old[p], fb[p]))
+              if p in fb_old else None)
 
         def feed_urls(d: pa.Table | None) -> pa.Array:
-            if d is None or len(d) == 0 or "url" not in d.column_names:
+            if d is None or len(d) == 0:
                 return pa.array([], pa.string())
             return pc.unique(pc.cast(d["url"].combine_chunks(), pa.string()))
 
         ua, ub = feed_urls(da), feed_urls(db)
         keys = pc.unique(pa.concat_arrays([ua, ub]))
         if len(keys) == 0:
-            return None
+            return _empty_join_stats()
+        cur_a = _read_job(lake_a, p, fa.get(p, []), cols_a, [], keys, sa)
+        cur_b = _read_job(lake_b, p, fb.get(p, []), cols_b, [], keys, sb)
 
-        def restrict(t: pa.Table | None) -> pa.Table | None:
-            if t is None or len(t) == 0:
-                return t
-            return t.filter(pc.is_in(pc.cast(t["url"], pa.string()),
-                                     value_set=keys))
-
-        cur_a = restrict(la.resolve(p) if p in wa else None)
-        cur_b = restrict(lb.resolve(p) if p in wb else None)
-
-        def old_rows(cur: pa.Table | None, d: pa.Table | None,
+        def old_rows(cur: pa.Table, d: pa.Table | None,
                      urls: pa.Array, text_col: str,
                      lcol: str | None) -> pa.Table:
             """This side's pre-change rows for the changed-key set: current
             rows for keys this side's feed didn't touch (unchanged here,
             changed on the OTHER side) + the feed's own pre-images."""
-            parts = []
-            if cur is not None and len(cur):
-                untouched = cur.filter(pc.invert(pc.is_in(
-                    pc.cast(cur["url"], pa.string()), value_set=urls)))
-                parts.append(_join_side(untouched, text_col, lcol))
+            untouched = cur.filter(pc.invert(pc.is_in(
+                pc.cast(cur["url"], pa.string()), value_set=urls)))
+            parts = [_join_side(untouched, text_col, lcol)]
             if d is not None and len(d):
                 pre = d.filter(pc.is_in(
                     d[CHANGE_COL],
                     value_set=pa.array(["update_preimage", "delete"],
                                        pa.string())))
                 parts.append(_join_side(pre, text_col, lcol))
-            if not parts:
-                return _join_side(None, text_col, lcol)
             return pa.concat_tables(parts, promote_options="permissive")
 
         new_a = _join_side(cur_a, text_a, lang_col)
         new_b = _join_side(cur_b, text_b, None)
         old_a = old_rows(cur_a, da, ua, text_a, lang_col)
         old_b = old_rows(cur_b, db, ub, text_b, None)
-        out = pa.concat_tables([_pair_agg(new_a, new_b, 1),
-                                _pair_agg(old_a, old_b, -1)])
-        return out if len(out) else None
+        return pa.concat_tables([_pair_agg(new_a, new_b, 1),
+                                 _pair_agg(old_a, old_b, -1)])
 
-    deltas = [t for t in ray.get([bucket_delta.remote(p) for p in touched])
-              if t is not None]
-    delta = (pa.concat_tables(deltas) if deltas else _empty_join_stats())
-    return _combine_join_stats(base, delta)
+    touched = sorted(fa_old.keys() | fb_old.keys())
+    local = (lake_a._in_driver(f for p in touched for f in
+                               (*fa_old.get(p, []), *fa.get(p, [])))
+             and lake_b._in_driver(f for p in touched for f in
+                                   (*fb_old.get(p, []), *fb.get(p, []))))
+    return _combine_join_stats(
+        base, *run_partition_jobs(bucket_delta, [(p,) for p in touched], local))
 
 
 class MaterializedJoinStats:
@@ -550,7 +530,7 @@ class MaterializedJoinStats:
 
     def refresh(self) -> pa.Table:
         """Bring the view to both lakes' current committed snapshots."""
-        _check_copartitioned(self.lake_a, self.lake_b)
+        check_copartitioned(self.lake_a, self.lake_b)
         cur_a = max(self.lake_a.watermarks().values(), default=-1)
         cur_b = max(self.lake_b.watermarks().values(), default=-1)
         stale_gen = (self.exists() and (

@@ -1,4 +1,5 @@
-"""Lake maintenance operations: repartitioning and staging GC.
+"""Lake maintenance operations: repartitioning, staging GC and snapshot
+export.
 
 Repartitioning changes the url-hash partition count of an existing lake —
 the one structural change ``replay()`` refuses to do implicitly (a silent
@@ -6,6 +7,10 @@ P change would mis-route every subsequent event). It is a full resolved
 read → re-hash → rewrite into a NEW lake root (never in place: readers of
 the old root stay consistent; cut-over is a path swap, like the
 reference's preSql table-swap pattern, WriterUtil.renderPreOrPostSqls).
+The re-hash is ``Lake._rehash``, the one behind ``evolve_partitions``;
+export runs one ``_read_job`` per partition through
+``run_partition_jobs``. Both run in the driver or as Ray tasks by the
+lake's one executor rule (``in_driver``) and start no task of their own.
 """
 
 from __future__ import annotations
@@ -14,17 +19,11 @@ import os
 import time
 import uuid
 
-import pyarrow as pa
-
-from ..hashing import partition_of
-from ..schema import PART_COL
 from ..state.manifest import Lake
 
 
 def repartition_lake(src_root: str, dest_root: str, new_num_partitions: int) -> dict:
     """Rewrite a lake under a different partition count. Returns summary."""
-    import ray
-
     src = Lake(src_root)
     src.validate_partitioner()
     dest = Lake(dest_root)
@@ -32,54 +31,21 @@ def repartition_lake(src_root: str, dest_root: str, new_num_partitions: int) -> 
         raise FileExistsError(f"destination lake {dest_root} already exists")
     dest.init(new_num_partitions, src.event_schema())
     run_id = uuid.uuid4().hex[:12]
-    wm = src.watermarks()
-    src_parts = sorted(wm)
-
-    @ray.remote(num_cpus=1, num_returns=max(new_num_partitions, 2))
-    def split_partition(p: int):
-        # num_returns >= 2 so Ray always unpacks the tuple (num_returns=1
-        # would deliver the whole 1-tuple as a single object); the dummy
-        # second slot for P=1 is dropped below
-        t = Lake(src_root).resolve(p)
-        if t is None or len(t) == 0:
-            return tuple(None for _ in range(max(new_num_partitions, 2)))
-        codes = partition_of(t["url"], new_num_partitions)
-        t = t.append_column(PART_COL, pa.array(codes))
-        from ..stages.exchange import split_by_part
-
-        out = list(split_by_part(t, new_num_partitions))
-        while len(out) < 2:
-            out.append(None)
-        return tuple(out)
-
-    @ray.remote(num_cpus=1)
-    def write_partition(p: int, txn_hi: int, *tables):
-        parts = [t for t in tables if t is not None and len(t)]
-        if not parts:
-            return None
-        merged = pa.concat_tables(parts, promote_options="permissive")
-        meta = Lake(dest_root).write_staged(run_id, p, merged)
-        return {"partition": p, "txn_hi": txn_hi, **meta}
-
-    per_new: list[list] = [[] for _ in range(new_num_partitions)]
-    for p in src_parts:
-        outs = split_partition.remote(p)
-        for q, r in enumerate(outs[:new_num_partitions]):
-            per_new[q].append(r)
+    mans = src._manifests()
+    files = src._files_at(mans, None, src.generation())
     # destination watermark must be the MIN across source partitions: a
     # lagging source partition may still have unapplied WAL events below the
     # max, and stamping max would make future replays skip them silently
-    txn_hi = min(wm.values(), default=0)
-    metas = ray.get([
-        write_partition.remote(q, txn_hi, *per_new[q]) for q in range(new_num_partitions)
-    ])
-    committed = 0
-    for m in metas:
-        if m is None:
-            continue
-        if dest.commit(m["partition"], txn_hi, m["staged"], m["row_count"],
-                       m["num_bytes"], run_id) == "committed":
-            committed += 1
+    txn_hi = min((m["txn_hi"] for m in mans.values()), default=0)
+    metas = src._rehash(
+        sorted(files), lambda p: src.resolve(p, files=files[p]),
+        new_num_partitions,
+        lambda q, t: None if t is None else dest.write_staged(run_id, q, t),
+        src._in_driver(f for fs_ in files.values() for f in fs_))
+    committed = sum(
+        dest.commit(m["partition"], txn_hi, m["staged"], m["row_count"],
+                    m["num_bytes"], run_id) == "committed"
+        for m in metas if m is not None)
     dest.cleanup_staging(run_id)
     return {"partitions_committed": committed, "txn_hi": txn_hi,
             "num_partitions": new_num_partitions}
@@ -115,50 +81,45 @@ def export_snapshot(lake_dir: str, dest_dir: str,
                     predicate=None, as_of_txn: int | None = None,
                     compression: str = "zstd") -> dict:
     """RESUMABLE snapshot export (CTAS): write the lake's resolved state as
-    plain partitioned parquet under ``dest_dir`` — one
-    ``part-{p:05d}.parquet`` + ``_done-{p:05d}`` marker per lake bucket,
-    one distributed task each.
+    plain partitioned parquet under ``dest_dir`` (a local path or an
+    object-store root, written through state.lakefs) — one
+    ``part-{p:05d}.parquet`` + ``_done-{p:05d}`` marker per committed lake
+    bucket, each bucket one partition job (run_partition_jobs: in the
+    driver or as Ray tasks, by in_driver on the projected input).
 
-    Resumability is per partition: a marker is renamed into place only
-    AFTER its file is fully written, so a crashed export re-runs only the
+    Resumability is per partition: a marker is written only AFTER its file
+    is finalized under its key, so a crashed export re-runs only the
     unmarked buckets (verified by the crash test). Never one giant file;
-    a 100 TB export is P independent tasks any of which can retry.
-    Column projection and predicate pushdown ride the same scan path as
-    Lake.dataset (footer pruning + post-LWW filter). Returns
+    a 100 TB export is P independent jobs any of which can retry.
+    Column projection and the post-LWW predicate ride the same
+    per-partition read as Lake.dataset (``_read_job``). Returns
     {written, skipped, rows}."""
-    import ray
-
-    from ..state.manifest import Lake
+    from ..state import lakefs
+    from ..state.manifest import _read_columns, _read_job, run_partition_jobs
     from ..state.predicate import normalize
 
     lake = Lake(lake_dir)
-    os.makedirs(dest_dir, exist_ok=True)
+    fs, base = lakefs.resolve(dest_dir)
+    fs.makedirs(base)
     pred = normalize(predicate)
-    parts = sorted(lake.watermarks(lake._resolve_gen(None, as_of_txn)))
+    conjuncts = pred.conjuncts if pred is not None else []
+    files = lake._snapshot_files(as_of_txn)
+    schema = lake._state_schema(lake.meta())
 
-    @ray.remote(num_cpus=1)
-    def export_one(p: int) -> tuple[int, int]:
-        import pyarrow.parquet as _pq
-
-        done = os.path.join(dest_dir, f"_done-{p:05d}")
-        if os.path.exists(done):
+    def export_one(p: int, part_files: list[str]) -> tuple[int, int]:
+        done = os.path.join(base, f"_done-{p:05d}")
+        if fs.exists(done):
             return 0, 0
-        t = Lake(lake_dir).resolve(p, as_of_txn)
-        if t is None:
-            t = pa.table({})
-        if pred is not None and len(t):
-            t = pred.filter_table(t)
-        if columns and len(t):
-            t = t.select(columns)
-        out = os.path.join(dest_dir, f"part-{p:05d}.parquet")
-        tmp = out + ".tmp"
-        _pq.write_table(t, tmp, compression=compression)
-        os.replace(tmp, out)
-        open(done + ".tmp", "w").close()
-        os.replace(done + ".tmp", done)
+        t = _read_job(lake, p, part_files, columns, conjuncts, None, schema)
+        out = os.path.join(base, f"part-{p:05d}.parquet")
+        fs.write_parquet(t, out + ".tmp", compression)
+        fs.finalize(out + ".tmp", out)
+        fs.put_json(done, {"rows": len(t)})
         return 1, len(t)
 
-    results = ray.get([export_one.remote(p) for p in parts])
+    local = lake._in_driver((f for fs_ in files.values() for f in fs_),
+                            _read_columns(columns, conjuncts))
+    results = run_partition_jobs(export_one, list(files.items()), local)
     written = sum(w for w, _ in results)
-    return {"written": written, "skipped": len(parts) - written,
+    return {"written": written, "skipped": len(files) - written,
             "rows": sum(r for _, r in results)}

@@ -246,7 +246,7 @@ def cdc_incremental_join(sf_dir: str) -> pa.Table:
     inner join of two co-bucketed lakes is computed ONCE at the epoch-1
     snapshots, then maintained by consuming BOTH lakes' pre-image change
     feeds — per refresh only changed keys' join contributions adjust, one
-    co-located task per touched bucket, untouched buckets pruned by
+    partition job per touched bucket, untouched buckets pruned by
     manifest watermarks. The oracle re-joins the two FINAL LWW states from
     scratch: equality proves incremental == full for the join view."""
     from .derive import incremental_join_stats
@@ -2492,7 +2492,7 @@ def _events_as_wal_metrics(sf_dir: str) -> str:
 def copartitioned_join_lakes(sf_dir: str):
     """Storage-partitioned join (functions/joins.copartitioned_join): two
     lakes bucketed by the same url partitioner join with ZERO shuffle —
-    one co-located Arrow hash join task per bucket. The A side is the
+    one Arrow hash join partition job per bucket. The A side is the
     flagship CDC lake; the B side replays a metrics WAL over the same
     keys; the oracle is the LWW window query joining both final states."""
     from ..functions.joins import copartitioned_join

@@ -57,10 +57,12 @@ def _schema_from_b64(s: str) -> pa.Schema:
 # ---------- partition jobs: one runner, sized to the work ----------
 # The one executor rule (in_driver) for every path that runs partition
 # work: replay epochs (pipelines/replay.py), scans, lookups, change feeds,
-# compactions and re-hashes. Work runs in the driver process when its
-# footer-known input (the compressed bytes of the columns it will read) is
-# at most LOCAL_INPUT_BYTES, or when no two tasks could run at once: Ray is
-# not up, or the cluster has at most one CPU. Otherwise it is distributed.
+# compactions, re-hashes, and the lake's consumers (co-partitioned joins
+# and join views, repartition and export). Work runs in the driver process
+# when its footer-known input (the compressed bytes of the columns it will
+# read) is at most LOCAL_INPUT_BYTES, or when no two tasks could run at
+# once: Ray is not up, or the cluster has at most one CPU. Otherwise it is
+# distributed.
 #
 # The byte cutoff, one Ray CPU of a shared cloud VM, 3 runs each. Write
 # path, one post-bootstrap delta epoch on a 14k-url, P = 32 lake: 40 KB
@@ -217,18 +219,20 @@ def _align(t: pa.Table, names: list[str] | None, schema: pa.Schema) -> pa.Table:
 def _read_job(lake: Lake, p: int, files: list[str], columns: list[str] | None,
               conjuncts: list, keys: list[str] | None,
               schema: pa.Schema) -> pa.Table:
-    """One partition's live rows from ``files`` (non-empty): LWW-resolved
+    """One partition's live rows from ``files`` (none: no rows): LWW-resolved
     over base + deltas (reading only ``columns``, the predicate columns and
     LINEAGE), restricted to urls in ``keys`` (all when None) and to rows
     matching ``conjuncts``, aligned to the lake's state ``schema`` and
     projected onto ``columns`` (all when None). The one
-    resolve/filter/project behind Lake.dataset and Lake.lookup, in the
+    resolve/filter/project behind every per-partition read of a lake, in the
     driver or in a task."""
     import pyarrow.compute as pc
 
     from .predicate import Predicate
 
     t = lake.resolve(p, columns=_read_columns(columns, conjuncts), files=files)
+    if t is None:
+        t = schema.empty_table()
     if keys is not None:
         t = t.filter(pc.is_in(t["url"], value_set=pa.array(keys, pa.string())))
     pred = Predicate(conjuncts)
@@ -492,6 +496,12 @@ class Lake:
         return {p: [self._p(f) for f in m["files"]]
                 for p, m in self._manifests_at(mans, as_of_txn, gen).items()}
 
+    def _snapshot_files(self, as_of_txn: int | None = None) -> dict[int, list[str]]:
+        """Data files per committed partition of the snapshot at
+        ``as_of_txn`` (None = current), in that snapshot's generation."""
+        gen = self._resolve_gen(None, as_of_txn)
+        return self._files_at(self._manifests(gen), as_of_txn, gen)
+
     def _in_driver(self, files, columns: list[str] | None = None) -> bool:
         """The executor choice of one read of ``columns`` (all when None) of
         ``files``, made once and handed to run_partition_jobs or
@@ -606,7 +616,8 @@ class Lake:
                 self.fs.delete_file(s)
             return "skipped"
         final_dir = self._p(self._part_prefix(p), f"txn={txn_hi:010d}")
-        self.fs.makedirs(final_dir)
+        if staged:  # a watermark commit moves no file: no directory
+            self.fs.makedirs(final_dir)
         rel_files = []
         for s in staged:
             dest = os.path.join(final_dir, os.path.basename(s))
@@ -754,7 +765,8 @@ class Lake:
         new partition ``q`` on the concat of its pieces (None when it got no
         rows). Returns ``run`` (run_partition_jobs or jobs_dataset) over the
         combine jobs, in partition order. The one split-then-combine
-        re-hash behind evolve_partitions and cross-generation change feeds:
+        re-hash behind evolve_partitions, cross-generation change feeds and
+        maintenance.repartition_lake:
         both steps run in the driver when ``local``, else as Ray tasks (one
         split per source; the combines through ``run``)."""
         nret = max(n_new, 2)  # Ray unpacks only num_returns >= 2

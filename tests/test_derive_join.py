@@ -20,7 +20,14 @@ from dataxray.pipelines.derive import (incremental_join_stats,
 from dataxray.pipelines.replay import ReplayConfig, replay
 from dataxray.state.manifest import Lake
 
-pytestmark = pytest.mark.parametrize("scheme", ["", "mocks3://"])
+# every test on both lake roots and under both partition-job executors
+# (the ``executor`` fixture); the driver runs keep the plain root ids
+pytestmark = pytest.mark.parametrize("scheme,executor", [
+    pytest.param("", "local", id=""),
+    pytest.param("mocks3://", "local", id="mocks3://"),
+    pytest.param("", "distributed", id="distributed"),
+    pytest.param("mocks3://", "distributed", id="distributed-mocks3://"),
+], indirect=["executor"])
 
 
 def _two_epoch_lake(tmp_path, scheme, name: str, seed: int,
@@ -47,7 +54,7 @@ def _two_epoch_lake(tmp_path, scheme, name: str, seed: int,
     return Lake(lake), thr
 
 
-def test_incremental_join_equals_full(tmp_path, scheme):
+def test_incremental_join_equals_full(tmp_path, scheme, executor):
     """Base join-agg at the epoch-1 snapshots + signed changed-key join
     deltas from both feeds == full re-join of the final states."""
     la, thr_a = _two_epoch_lake(tmp_path, scheme, "a", seed=42)
@@ -72,7 +79,7 @@ def test_incremental_join_equals_full(tmp_path, scheme):
         assert {"update_preimage", "update_postimage"} <= kinds
 
 
-def test_incremental_join_noop_delta(tmp_path, scheme):
+def test_incremental_join_noop_delta(tmp_path, scheme, executor):
     """A refresh with since == current watermark applies an empty delta and
     still equals the full join (idempotent replay of the view)."""
     la, _ = _two_epoch_lake(tmp_path, scheme, "na", seed=1)
@@ -84,7 +91,7 @@ def test_incremental_join_noop_delta(tmp_path, scheme):
     assert inc.to_pydict() == full.to_pydict()
 
 
-def test_incremental_join_base_carried_forward(tmp_path, scheme):
+def test_incremental_join_base_carried_forward(tmp_path, scheme, executor):
     """A maintained view never re-reads its base: passing the epoch-1
     aggregate as ``base`` produces the same result as recomputing it."""
     la, thr_a = _two_epoch_lake(tmp_path, scheme, "ca", seed=3)
@@ -96,7 +103,7 @@ def test_incremental_join_base_carried_forward(tmp_path, scheme):
     assert inc.to_pydict() == full.to_pydict()
 
 
-def test_join_view_refuses_mismatched_bucketing(tmp_path, scheme):
+def test_join_view_refuses_mismatched_bucketing(tmp_path, scheme, executor):
     """Co-bucketing is load-bearing: different partition counts must be
     refused (a silent mis-bucketed join would drop matches)."""
     la, thr_a = _two_epoch_lake(tmp_path, scheme, "ga", seed=5)
@@ -108,7 +115,7 @@ def test_join_view_refuses_mismatched_bucketing(tmp_path, scheme):
         joined_group_stats(la, lb)
 
 
-def test_materialized_join_view_across_epochs(tmp_path, scheme):
+def test_materialized_join_view_across_epochs(tmp_path, scheme, executor):
     """MaterializedJoinStats: refresh() after each epoch == full re-join;
     replayed refresh is a no-op; a partition evolution on the lakes
     triggers a rebuild (generation mismatch) and stays correct."""

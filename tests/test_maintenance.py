@@ -4,6 +4,7 @@ import os
 import time
 
 import pyarrow as pa
+import pytest
 
 from dataxray.gen import GenConfig, write_dataset
 from dataxray.hashing import partition_of
@@ -40,8 +41,6 @@ def test_repartition_preserves_content_and_routing(tmp_path):
 
 
 def test_repartition_refuses_existing_dest(tmp_path):
-    import pytest
-
     src = Lake(str(tmp_path / "src"))
     src.init(2, pa.schema([("url", pa.string()), ("txn_id", pa.int64()),
                            ("seq", pa.int64()), ("op", pa.string())]))
@@ -77,19 +76,33 @@ def test_repartition_to_single_partition(tmp_path):
     assert before.equals(after)
 
 
-def test_export_snapshot_resumable(tmp_path, ray_session):
-    """Export == read_all; a partial export (some _done markers present)
-    resumes by writing only the unmarked buckets; predicate + columns
-    push through."""
-    import glob
-    import os
+def test_repartition_under_both_executors(executor, tmp_path):
+    """The re-hash (Lake._rehash) gives the same lake in the driver and as
+    Ray tasks: same rows, each in the partition its url hashes to, at the
+    source's lowest watermark."""
+    d = str(tmp_path / "data")
+    write_dataset(d, GenConfig(n_urls=80, n_events=600, n_shards=2,
+                               html_mean=16), parallel=False)
+    src = str(tmp_path / "src")
+    replay(os.path.join(d, "events"), src,
+           pages_path=os.path.join(d, "pages.parquet"),
+           cfg=ReplayConfig(num_partitions=4))
+    dest = str(tmp_path / "dest")
+    out = repartition_lake(src, dest, 3)
+    assert out["txn_hi"] == min(Lake(src).watermarks().values())
+    assert Lake(dest).read_all().sort_by("url").equals(
+        Lake(src).read_all().sort_by("url"))
+    for p in Lake(dest).watermarks():
+        assert set(partition_of(Lake(dest).resolve(p)["url"], 3).tolist()) == {p}
 
-    import pyarrow.parquet as pq
 
-    from dataxray.gen import GenConfig, write_dataset
+@pytest.mark.parametrize("dest_scheme", ["", "mocks3://"])
+def test_export_snapshot_resumable(tmp_path, executor, dest_scheme):
+    """Export == read_all, to a local or an object-store destination; a
+    partial export (some _done markers present) resumes by writing only
+    the unmarked buckets; predicate + columns push through."""
     from dataxray.pipelines.maintenance import export_snapshot
-    from dataxray.pipelines.replay import ReplayConfig, replay
-    from dataxray.state.manifest import Lake
+    from dataxray.state import lakefs
 
     cfg = GenConfig(n_urls=120, n_events=1_000, n_shards=4, html_mean=8)
     src = str(tmp_path / "gen")
@@ -99,36 +112,34 @@ def test_export_snapshot_resumable(tmp_path, ray_session):
            pages_path=os.path.join(src, "pages.parquet"),
            cfg=ReplayConfig(num_partitions=6))
 
-    dest = str(tmp_path / "out")
+    def exported(dest: str) -> pa.Table:
+        fs, base = lakefs.resolve(dest)
+        names = sorted(n for n in fs.list_names(base)
+                       if n.startswith("part-") and n.endswith(".parquet"))
+        return pa.concat_tables(
+            [fs.read_parquet(os.path.join(base, n)) for n in names],
+            promote_options="permissive")
+
+    dest = dest_scheme + str(tmp_path / "out")
     rep = export_snapshot(lake_dir, dest)
     assert rep["written"] == 6 and rep["skipped"] == 0
-    got = pq.read_table(sorted(glob.glob(os.path.join(dest, "part-*.parquet")))[0])
-    assert "url" in got.column_names
-
-    import pandas as pd
-    all_parts = pa.concat_tables(
-        [pq.read_table(f) for f in sorted(glob.glob(os.path.join(dest, "part-*.parquet")))],
-        promote_options="permissive")
     want = Lake(lake_dir).read_all()
-    assert all_parts.num_rows == want.num_rows
+    assert "url" in exported(dest).column_names
+    assert exported(dest).num_rows == want.num_rows == rep["rows"]
 
-    # simulate a crash that lost two outputs: remove files + markers
+    # simulate a crash that lost two outputs: delete files + markers
+    fs, base = lakefs.resolve(dest)
     for p in (1, 3):
-        os.remove(os.path.join(dest, f"part-{p:05d}.parquet"))
-        os.remove(os.path.join(dest, f"_done-{p:05d}"))
+        fs.delete_file(os.path.join(base, f"part-{p:05d}.parquet"))
+        fs.delete_file(os.path.join(base, f"_done-{p:05d}"))
     rep2 = export_snapshot(lake_dir, dest)
     assert rep2["written"] == 2 and rep2["skipped"] == 4
-    all2 = pa.concat_tables(
-        [pq.read_table(f) for f in sorted(glob.glob(os.path.join(dest, "part-*.parquet")))],
-        promote_options="permissive")
-    assert all2.num_rows == want.num_rows
+    assert exported(dest).num_rows == want.num_rows
 
     # projection + predicate
-    dest2 = str(tmp_path / "out2")
+    dest2 = dest_scheme + str(tmp_path / "out2")
     export_snapshot(lake_dir, dest2, columns=["url", "txn_id"],
                     predicate=[("url", ">=", "https://")])
-    t2 = pa.concat_tables(
-        [pq.read_table(f) for f in sorted(glob.glob(os.path.join(dest2, "part-*.parquet")))],
-        promote_options="permissive")
-    assert set(t2.column_names) <= {"url", "txn_id"}
+    t2 = exported(dest2)
+    assert t2.column_names == ["url", "txn_id"]
     assert t2.num_rows == want.num_rows

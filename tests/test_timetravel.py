@@ -410,3 +410,37 @@ def test_history_flag_read_once_per_lake(tmp_path, scheme):
                  f"r{txn}", mode="delta")
     assert len(meta_reads) <= 1
     assert len(L.versions(0)) == 10
+
+
+def test_watermark_commits_make_no_txn_dir(pages, shards, tmp_path, scheme,
+                                           monkeypatch):
+    """A watermark commit moves no file, so it makes no txn= directory:
+    after an epoch whose events touch one partition of a history lake (the
+    others advance by watermark commits), every txn= directory holds at
+    least one file."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    base = str(tmp_path / "lake")
+    cfg = ReplayConfig(num_partitions=N_PARTS, history=True)
+    pq.write_table(pages, str(tmp_path / "pages.parquet"))
+    replay(None, scheme + base, pages_path=str(tmp_path / "pages.parquet"),
+           cfg=cfg)
+    modes = []
+    real = Lake.commit
+
+    def commit(self, *args, mode="rewrite"):
+        modes.append(mode)
+        return real(self, *args, mode=mode)
+
+    monkeypatch.setattr(Lake, "commit", commit)
+    ev = shards[0]
+    wal = tmp_path / "wal"
+    wal.mkdir()
+    pq.write_table(ev.filter(pc.equal(ev["url"], ev["url"][0])),
+                   str(wal / "events-00000.parquet"))
+    replay(str(wal), scheme + base, cfg=cfg)
+    assert modes.count("watermark") == N_PARTS - 1
+    txn_dirs = [os.path.join(d, n) for d, names, _ in os.walk(base)
+                for n in names if n.startswith("txn=")]
+    assert txn_dirs and all(os.listdir(d) for d in txn_dirs)
