@@ -5,7 +5,7 @@ writer sync pipelines with speed control, dirty-data budgets, key-ranged
 splitting, upsert writers, shard/checkpoint change-stream replay) as idiomatic
 Ray Data: ``ray.data.Dataset`` pipelines of ``map_batches`` over zero-copy
 Arrow batches, url-hash key-partitioned shuffle into a last-writer-wins merge,
-and an idempotent exactly-once Parquet-lake sink with per-partition manifests
+and an idempotent exactly-once Parquet-lake sink with one table snapshot per commit
 and monotonic transaction ids.
 
 Layout:
@@ -14,7 +14,7 @@ Layout:
   dataxray.gen        — deterministic synthetic pages + change-log generator (ref: StreamReader.java)
   dataxray.sources    — WAL-tail reader with txn watermarks + schema unification (ref: otsstreamreader)
   dataxray.stages     — decode/validate, partition assignment, direct exchange, LWW merge stages
-  dataxray.state      — lake layout, manifests, exactly-once commit, checkpoints (ref: HdfsWriter tmp+rename, StarRocks labels)
+  dataxray.state      — lake layout, snapshots, exactly-once commit, checkpoints (ref: HdfsWriter tmp+rename, StarRocks labels)
   dataxray.pipelines  — end-to-end replay + report pipelines
   dataxray.functions  — dx_* transform library, UDF registry, text/dedup/similarity ops
   dataxray.errors     — dirty-record side channel + error budget (ref: ErrorRecordChecker.java)

@@ -25,7 +25,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.joins import check_copartitioned
-from ..state.manifest import (Lake, _read_columns, _read_job,
+from ..state.manifest import (Lake, _read_columns, _read_job, entries,
                               run_partition_jobs)
 
 
@@ -394,8 +394,9 @@ def incremental_join_stats(lake_a: Lake, lake_b: Lake,
     by the same url partitioner, K's bucket on either side is the same
     bucket, so each delta is ONE partition job per TOUCHED partition
     (run_partition_jobs: in the driver or as Ray tasks, by in_driver on
-    their snapshots' files; untouched partitions are pruned by the
-    manifests, read once here — pure metadata, no data read): diff each
+    their snapshots' files; partitions without a data write since are
+    pruned by the snapshots, read once here — pure metadata, no data
+    read): diff each
     changed side's bucket between its two snapshots, read the two current
     bucket states restricted to K (url, text and lang columns only),
     reconstruct each side's old rows as (current rows for keys that side's
@@ -414,13 +415,14 @@ def incremental_join_stats(lake_a: Lake, lake_b: Lake,
                                   as_of_b=since_b, lang_col=lang_col,
                                   text_a=text_a, text_b=text_b)
     # per side: the current files of every committed partition, and the
-    # files as of ``since`` of each partition changed after it
+    # files as of ``since`` of each partition whose last data write came
+    # after it (its txn_hi moves with every epoch's watermark advance)
     files = []
     for lake, since in ((lake_a, since_a), (lake_b, since_b)):
-        gen, mans = lake.generation(), lake._manifests()
-        changed = {p: m for p, m in mans.items() if m["txn_hi"] > since}
-        files.append((lake._files_at(mans, None, gen), {p: [] for p in changed}
-                      | lake._files_at(changed, since, gen)))
+        cur, old = lake.snapshot(), lake._snapshot_files(since)
+        files.append((lake._files(cur), {
+            p: old.get(p, []) for p, e in entries(cur).items()
+            if e["data_txn"] > since}))
     (fa, fa_old), (fb, fb_old) = files
     cols_a, cols_b = ["url", text_a, lang_col], ["url", text_b]
     sa, sb = (lk._state_schema(lk.meta()) for lk in (lake_a, lake_b))

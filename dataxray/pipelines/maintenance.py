@@ -19,7 +19,7 @@ import os
 import time
 import uuid
 
-from ..state.manifest import Lake
+from ..state.manifest import Lake, entries
 
 
 def repartition_lake(src_root: str, dest_root: str, new_num_partitions: int) -> dict:
@@ -31,21 +31,20 @@ def repartition_lake(src_root: str, dest_root: str, new_num_partitions: int) -> 
         raise FileExistsError(f"destination lake {dest_root} already exists")
     dest.init(new_num_partitions, src.event_schema())
     run_id = uuid.uuid4().hex[:12]
-    mans = src._manifests()
-    files = src._files_at(mans, None, src.generation())
+    snap = src.snapshot()
+    files = src._files(snap)
     # destination watermark must be the MIN across source partitions: a
     # lagging source partition may still have unapplied WAL events below the
     # max, and stamping max would make future replays skip them silently
-    txn_hi = min((m["txn_hi"] for m in mans.values()), default=0)
+    txn_hi = min((e["txn_hi"] for e in entries(snap).values()), default=0)
     metas = src._rehash(
         sorted(files), lambda p: src.resolve(p, files=files[p]),
         new_num_partitions,
         lambda q, t: None if t is None else dest.write_staged(run_id, q, t),
         src._in_driver(f for fs_ in files.values() for f in fs_))
-    committed = sum(
-        dest.commit(m["partition"], txn_hi, m["staged"], m["row_count"],
-                    m["num_bytes"], run_id) == "committed"
-        for m in metas if m is not None)
+    committed = dest.commit(
+        [{**m, "txn_hi": txn_hi, "mode": "rewrite"} for m in metas if m is not None],
+        run_id).count("committed")
     dest.cleanup_staging(run_id)
     return {"partitions_committed": committed, "txn_hi": txn_hi,
             "num_partitions": new_num_partitions}
@@ -53,8 +52,10 @@ def repartition_lake(src_root: str, dest_root: str, new_num_partitions: int) -> 
 
 def sweep_staging(lake_root: str, max_age_sec: float = 3600.0) -> int:
     """Remove orphaned staging dirs left by crashed runs (their commits never
-    landed, so the files are dead weight). Age-gated so a concurrently
-    running replay's staging survives."""
+    landed, so the files are dead weight), and with them the data files such
+    a run had already finalized that no snapshot references
+    (Lake.remove_orphans). Age-gated so a concurrently running replay's
+    staging and files survive. Returns the staging dirs removed."""
     from ..state import lakefs
 
     fs, base = lakefs.resolve(lake_root)
@@ -73,6 +74,9 @@ def sweep_staging(lake_root: str, max_age_sec: float = 3600.0) -> int:
                 removed += 1
         except FileNotFoundError:  # pragma: no cover
             continue
+    lake = Lake(lake_root)
+    if removed and lake.exists():
+        lake.remove_orphans(max_age_sec)
     return removed
 
 

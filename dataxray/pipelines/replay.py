@@ -13,7 +13,7 @@ crossed with otsstreamreader's checkpointed change-stream replay (§3.3):
                                → BatchCombiner  # pre-shuffle LWW combiner
           split_by_part / √P coarse groups → per-partition slices
           _merge_tables                 # per-partition LWW merge + stage-write
-      → driver: label-deduped manifest commits (exactly-once)
+      → driver: one label-deduped snapshot commit per epoch (exactly-once)
 
 Two executors run that same chain of stage callables, chosen per epoch by
 state/manifest.py:in_driver, the one rule the lake's read paths use too:
@@ -42,7 +42,7 @@ Both feed the same commit loop, so exactly-once, watermark filtering, the
 dirty side-channel, the error budget and schema evolution have one
 implementation. Untouched partitions are never read or rewritten
 (incremental replay prunes at the file level by the global low watermark
-and per-partition by manifest txn_hi).
+and per-partition by the snapshot's txn_hi).
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from ..stages.decode import Validate
 from ..stages.merge import BatchCombiner, lww_reduce, merge_partition
 from ..stages.partition import AssignPartition
 from ..state.checkpoint import RunReport, global_low_watermark
-from ..state.manifest import Lake, in_driver
+from ..state.manifest import Lake, entries, in_driver
 
 THROTTLE_BATCH = 8192  # rows per RateLimiter call
 
@@ -100,11 +100,13 @@ def _tune_read_parallelism() -> None:
 
 def _merge_tables(p: int, tables: list[pa.Table], lake_root: str, run_id: str,
                   wm: dict, target: pa.Schema, sink_mode: str = "rewrite",
-                  compact_threshold: int = 8, monitor=None) -> dict:
+                  compact_threshold: int = 8, monitor=None,
+                  parts: dict | None = None) -> dict:
     """Per-partition final merge, one exchange merge call each (a Ray task,
     or in the driver): stage new state from the partition's events (those
     at or below its watermark ``wm[p]`` were already dropped by
-    _AssignCombineFuse), return small commit metadata.
+    _AssignCombineFuse), return small commit metadata. ``parts`` holds the
+    current snapshot's entries by partition (the driver read it once).
 
     sink_mode="rewrite": fold in current state, produce the resolved
     partition (one base file). sink_mode="delta": write ONLY this epoch's
@@ -131,17 +133,18 @@ def _merge_tables(p: int, tables: list[pa.Table], lake_root: str, run_id: str,
                 "n_events": 0}
     part_lake = Lake(lake_root)
     txn_hi = max(watermark, pc.max(events["txn_id"]).as_py())
-    manifest = part_lake.manifest(p)
+    entry = (parts or {}).get(p)
     use_delta = (
         sink_mode == "delta"
-        and manifest is not None  # first write of a partition is its base
-        and manifest.get("n_deltas", 0) + 1 < compact_threshold
+        and entry is not None  # first write of a partition is its base
+        and entry["n_deltas"] + 1 < compact_threshold
     )
     if use_delta:
         merged = lww_reduce(events)  # winners incl. tombstones, op kept
         mode = "delta"
     else:
-        state = part_lake.read_state(p)
+        state = part_lake.read_state(
+            p, files=[part_lake._p(f) for f in entry["files"]] if entry else [])
         merged = merge_partition(events, state, target, watermark)
         mode = "rewrite"
     meta = part_lake.write_staged(run_id, p, merged)
@@ -300,7 +303,7 @@ def replay(
     """Replay all unapplied change events into the lake; resumable/idempotent.
 
     Can be called repeatedly (epochs, crash-resume, duplicate delivery): the
-    manifests' per-partition txn watermarks make every re-application a no-op.
+    snapshot's per-partition txn watermarks make every re-application a no-op.
     ``events_dir`` may also be an explicit list of wal.EventFile (the chunked
     backlog path) — every path in it must be visible cluster-wide.
     """
@@ -327,11 +330,12 @@ def replay(
             raise RuntimeError(
                 f"lake has {lake.num_partitions()} partitions, config asks "
                 f"{cfg.num_partitions}; re-bucket the live lake first with "
-                "Lake.evolve_partitions(new_p) (manifest-recorded epoch "
+                "Lake.evolve_partitions(new_p) (recorded epoch "
                 "boundary), or rewrite offline via maintenance.repartition_lake"
             )
 
-    watermarks = lake.watermarks() if not bootstrap else {}
+    parts = entries(lake.snapshot()) if not bootstrap else {}
+    watermarks = {p: e["txn_hi"] for p, e in parts.items()}
     low = global_low_watermark(watermarks, cfg.num_partitions) if not bootstrap else 0
     if not bootstrap and pages_path is None \
             and len(watermarks) < cfg.num_partitions:
@@ -405,7 +409,8 @@ def replay(
     merge_kwargs = dict(lake_root=lake_root, run_id=run_id, wm=wm, target=tgt,
                         sink_mode=cfg.sink_mode,
                         compact_threshold=cfg.compact_threshold,
-                        monitor=watchdog.monitor if watchdog else None)
+                        monitor=watchdog.monitor if watchdog else None,
+                        parts=parts)
 
     # assign + combine run INSIDE the exchange's split step (no separate
     # map stage, one less plasma round-trip per block); in the driver the
@@ -432,38 +437,33 @@ def replay(
     # re-counted every row of every re-read file on incremental epochs
     report.read_succeed_records = sum(int(m["n_events"]) for m in meta_rows)
 
-    # ---- exactly-once commit loop (driver, label = (partition, txn_hi)) ----
-    for m in meta_rows:
-        if m["noop"]:
-            continue
-        status = lake.commit(
-            int(m["partition"]), int(m["txn_hi"]), list(m["staged"]),
-            int(m["row_count"]), int(m["num_bytes"]), run_id,
-            mode=str(m["mode"]),
-        )
-        if status == "committed":
-            report.partitions_committed += 1
-            report.write_succeed_records += int(m["row_count"])
-            report.txn_hi = max(report.txn_hi, int(m["txn_hi"]))
-        else:
-            report.partitions_skipped += 1
+    # ---- exactly-once commit: the whole epoch as one snapshot ----
     # every partition provably applied all files up to txn_hi_run (events are
     # globally txn-ordered and the run read every file above the low
-    # watermark) — advance ALL watermarks to it so they stay uniform: the
-    # global low watermark (file pruning, bootstrap completion) moves, and an
-    # empty hash bucket cannot pin it forever
+    # watermark) — advance ALL watermarks to it in the same snapshot so they
+    # stay uniform: the global low watermark (file pruning, bootstrap
+    # completion) moves, and an empty hash bucket cannot pin it forever
     committed_hi = {int(m["partition"]): int(m["txn_hi"]) for m in meta_rows}
     # cap the advance at the max txn actually APPLIED from valid events: a
     # corrupt/outlier txn_id in a file footer could otherwise poison every
     # watermark and silently skip all future legitimate events
     max_applied = max(committed_hi.values(), default=low)
     advance_to = min(txn_hi_run, max_applied)
+    staged = [m for m in meta_rows if not m["noop"]]
+    if staged or advance_to > low:
+        status = lake.commit(staged, run_id,
+                             advance_to if advance_to > low else None)
+        for m, st in zip(staged, status):
+            if st == "committed":
+                report.partitions_committed += 1
+                report.write_succeed_records += int(m["row_count"])
+                report.txn_hi = max(report.txn_hi, int(m["txn_hi"]))
+            else:
+                report.partitions_skipped += 1
     if advance_to > low:
-        for p in range(cfg.num_partitions):
-            cur = committed_hi.get(p, wm.get(p, -1))
-            if cur < advance_to:
-                lake.commit(p, advance_to, [], 0, 0, run_id, mode="watermark")
-            report.partition_lag[p] = max(cur, advance_to)
+        report.partition_lag = {
+            p: max(committed_hi.get(p, wm.get(p, -1)), advance_to)
+            for p in range(cfg.num_partitions)}
     else:
         report.partition_lag.update(committed_hi)
     lake.cleanup_staging(run_id)

@@ -116,7 +116,7 @@ def tail_replay(
 ) -> TailReport:
     """Tail ``events_dir`` until idle. Every poll that finds unapplied txns
     runs one exactly-once replay epoch; crashes mid-tail resume exactly like
-    any replay (manifest watermarks).
+    any replay (snapshot watermarks).
 
     compact_over_bytes enables STREAMING compaction for delta-mode sinks:
     between epochs, partitions whose accumulated delta volume crosses the
@@ -181,7 +181,7 @@ class LagReport:
 def lag(events_dir: str, lake_dir: str) -> LagReport:
     """Measure replication lag WITHOUT reading event data: the WAL side is
     a footer-only scan (txn ranges + row counts per file), the lake side is
-    the manifest watermark map — both metadata-sized at any data scale.
+    the snapshot's watermark map — both metadata-sized at any data scale.
     The north-star throughput/lag metric a long-running tail service
     exports between polls."""
     from ..sources.wal import prune_files, scan_event_files

@@ -3,7 +3,7 @@
 Counter names follow the reference's Communication counter map
 (CommunicationTool.java:19-53,76-99: readSucceedRecords, writeSucceedRecords,
 totalErrorRecords, byteSpeed, recordSpeed, percentage) re-expressed per run:
-the manifests themselves are the durable checkpoint (per-partition txn_hi
+the lake snapshot itself is the durable checkpoint (per-partition txn_hi
 watermarks, analog of ShardCheckpoint.java:8-75); a run report JSON captures
 progress + rates for observability.
 """

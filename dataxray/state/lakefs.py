@@ -10,17 +10,17 @@ So the lake speaks to storage through this small interface with two
 semantic families:
 
 * ``LocalLakeFS`` — rename-capable (local disk; HDFS shares the contract):
-  ``finalize`` is an atomic rename, manifest swap is write-tmp + fsync +
+  ``finalize`` is an atomic rename, snapshot swap is write-tmp + fsync +
   rename.
 * ``ObjectLakeFS`` — put-semantics over any ``pyarrow.fs.FileSystem``:
   ``finalize`` is server-side copy + delete of the staged object (never
-  rename), manifest swap is a single-object PUT (atomic on real object
-  stores: readers see the old or the new manifest, never a torn one).
+  rename), snapshot swap is a single-object PUT (atomic on real object
+  stores: readers see the old or the new snapshot, never a torn one).
   Directories are virtual (``makedirs`` only materializes them where the
   underlying fs needs it).
 
 Why the protocol stays exactly-once without rename: staged files have uuid
-names (retries collide on nothing), the manifest PUT is the single commit
+names (retries collide on nothing), the snapshot PUT is the single commit
 point, and the ``(partition, txn_hi)`` label is monotonic — a replayed
 commit is recognized by label BEFORE any write, so last-writer-wins PUT
 visibility is sufficient under the lake's single-writer-per-partition

@@ -1,4 +1,4 @@
-"""Parquet-lake layout + exactly-once per-partition manifest commits.
+"""Parquet-lake layout + exactly-once commits, one table snapshot per epoch.
 
 Commit protocol, composed from the two idempotency patterns in the reference:
   * hdfswriter: tasks write to a temp/uuid dir, the job's ``post()`` renames
@@ -6,33 +6,59 @@ Commit protocol, composed from the two idempotency patterns in the reference:
   * starrockswriter: every flushed batch carries a *label* and a re-sent label
     is recognized and skipped (StarRocksWriterManager.java:33-143, label :52).
 
-Here: each per-partition merge task writes its new state file(s) under
-``_staging/<run_id>/part-<p>/`` with uuid names (task retries collide on
-nothing), and the driver commits by (a) renaming the staged files into
-``part=<p>/txn=<txn_hi>/`` and (b) atomically replacing the partition's
-manifest JSON. The label is ``(partition, txn_hi)`` with **monotonic txn
-ids**: a commit whose txn_hi <= the manifest's is a recognized replay and is
-skipped — re-running a committed batch changes nothing.
+Here: each per-partition merge writes its new state file into its run's one
+staging directory ``_staging/<run_id>/`` under a uuid name (task retries
+collide on nothing), and the driver commits the whole epoch at once
+(Lake.commit) — every partition it wrote plus the watermark advance of the
+rest — in these steps, each a named ``failpoint``:
+
+  staged    (in the merge) the staged file is written;
+  finalize  each staged file is moved to ``part=<p>/txn=<txn_hi>/``;
+  snapshot  one PUT of the table's new snapshot to ``_snapshot-g<gen>.json``
+            — THE commit point: a reader sees all of an epoch or none of it;
+  history   history lakes: one PUT of the same snapshot, immutable, under
+            ``_snapshots/`` (time travel);
+  gc        lakes without history: delete exactly the files the previous
+            snapshot referenced and the new one does not;
+  cleanup   the run's staging directory is removed.
+
+The label is ``(partition, txn_hi)`` with **monotonic txn ids**: an entry
+whose txn_hi is at or below its partition's in the current snapshot is a
+recognized replay — skipped, its staged files deleted — so re-running a
+committed batch changes nothing. A crash before the snapshot PUT leaves the
+previous snapshot current; the files it had already finalized are orphans
+that the next sweep_staging removes (pipelines/maintenance.py).
 
 Layout:
     lake/
-      _meta.json                    partitioner id, P, event schema (b64 Arrow)
-      _manifests/part-00007.json    {partition, txn_hi, files, row_count, ...}
-      _staging/<run_id>/part-00007/data-<uuid>.parquet
-      part=00007/txn=0000000042/data-<uuid>.parquet
+      _meta.json                   format, partitioner id, P, event schema
+                                   (b64 Arrow), history flag, generation
+      _snapshot-g0000.json         the current snapshot: {version, generation,
+                                   txn_hi, run_id, partitions: [{files,
+                                   n_deltas, txn_hi, data_txn, ...} | null]}
+      _snapshots/v0000000007-t00000000000000000042.json
+                                   history lakes: every committed snapshot
+                                   (version, then txn_hi: one LIST finds the
+                                   newest one at or before a txn)
+      _staging/<run_id>/part-00007-<uuid>.parquet
+      part=00007/txn=0000000042/part-00007-<uuid>.parquet
+
+Per partition the snapshot records its files (base first, then deltas),
+``n_deltas``, ``txn_hi`` (its applied watermark) and ``data_txn`` (the
+txn_hi of its last data write: which partitions changed after a txn).
 
 Storage is abstracted behind ``state.lakefs``: a plain path commits via
 atomic rename (local/HDFS semantics); a ``mocks3://`` / ``s3://`` root runs
 the SAME protocol with object-store semantics only — staged-object PUT,
-server-side copy + delete to finalize, single-object manifest PUT as the
+server-side copy + delete to finalize, single-object snapshot PUT as the
 commit point, no rename anywhere (lakefs.ObjectLakeFS).
 """
 
 from __future__ import annotations
 
 import base64
-import functools
 import os
+import time
 import uuid
 
 import pyarrow as pa
@@ -42,8 +68,25 @@ from ..schema import unify
 from . import lakefs
 
 META = "_meta.json"
-MANIFESTS = "_manifests"
+SNAPSHOTS = "_snapshots"
 STAGING = "_staging"
+# _meta.json "format": 2 = one table snapshot per commit. Format 1 (no
+# field) kept one manifest per partition under _manifests/ and is refused.
+FORMAT = 2
+
+
+def failpoint(name: str) -> None:
+    """A named step of the commit protocol (module docstring): "staged",
+    "finalize", "snapshot", "history", "gc" or "cleanup". Does nothing;
+    crash-point and torn-read tests replace it to stop or observe a commit
+    right after that step."""
+
+
+def entries(snap: dict | None) -> dict[int, dict]:
+    """A snapshot's committed partitions (none for None), by partition."""
+    if snap is None:
+        return {}
+    return {p: e for p, e in enumerate(snap["partitions"]) if e is not None}
 
 
 def _schema_to_b64(schema: pa.Schema) -> str:
@@ -249,64 +292,50 @@ class Lake:
         # nodes reconstruct the same backend from the same string
         self.root = root
         self.fs, self.base = lakefs.resolve(root)
-        # generation + evolution epochs (and the history flag, fixed at
-        # init), cached per instance: Lake objects are short-lived (one per
-        # task) and the lake is single-writer, so a stale cache can only
-        # happen on the driver instance that itself called
-        # evolve_partitions — which invalidates it
-        self._gen: int | None = None
-        self._epochs: list[dict] | None = None
-        self._history = False
+        # _meta.json's layout fields (generation, P, evolution epochs, the
+        # history flag), read once per instance: Lake objects are
+        # short-lived (one per task) and the lake is single-writer, so a
+        # stale copy can only happen on the driver instance that itself
+        # called evolve_partitions — which invalidates it
+        self._layout: dict | None = None
 
     def _p(self, *parts: str) -> str:
         return os.path.join(self.base, *parts)
 
     # ---------- generations (online partition evolution) ----------
+    def _meta_cached(self) -> dict:
+        if self._layout is None:
+            self._layout = self.meta()
+        return self._layout
+
     def generation(self) -> int:
-        if self._gen is None:
-            meta = self.meta()
-            self._gen = int(meta.get("generation", 0))
-            self._epochs = meta.get("partition_epochs", [])
-            self._history = bool(meta.get("history"))
-        return self._gen
+        return int(self._meta_cached().get("generation", 0))
 
     def partition_epochs(self) -> list[dict]:
         """Evolution history: [{generation, num_partitions, boundary_txn}].
         Generation 0 (the layout at init) is implicit with boundary -inf."""
-        self.generation()
-        return self._epochs or []
+        return self._meta_cached().get("partition_epochs", [])
+
+    def history_enabled(self) -> bool:
+        return bool(self._meta_cached().get("history"))
 
     def _invalidate(self) -> None:
-        self._gen = None
-        self._epochs = None
+        self._layout = None
 
     def _gen_for_txn(self, as_of_txn: int) -> int:
-        """Generation whose manifests record the snapshot at ``as_of_txn``:
-        the latest evolution whose boundary commit is <= as_of_txn (the
-        evolved layout's first snapshot IS the boundary snapshot)."""
+        """Generation of the snapshot at ``as_of_txn``: the latest evolution
+        whose boundary commit is <= as_of_txn (the evolved layout's first
+        snapshot IS the boundary snapshot)."""
         g = 0
         for e in self.partition_epochs():
             if e["boundary_txn"] <= as_of_txn:
                 g = e["generation"]
         return g
 
-    def _resolve_gen(self, gen: int | None, as_of_txn: int | None) -> int:
-        if gen is not None:
-            return gen
-        if as_of_txn is not None:
-            return self._gen_for_txn(as_of_txn)
-        return self.generation()
-
-    def _mdir(self, gen: int | None = None) -> str:
-        gen = self.generation() if gen is None else gen
-        return self._p(MANIFESTS) if gen == 0 \
-            else self._p(MANIFESTS, f"g{gen:04d}")
-
-    def _part_prefix(self, p: int, gen: int | None = None) -> str:
+    def _part_prefix(self, p: int, gen: int) -> str:
         """Data directory for a partition — generation-scoped so an evolved
         layout's part=3 (a different url bucket) never collides with the old
         one, and old generations stay intact for time travel."""
-        gen = self.generation() if gen is None else gen
         return f"part={p:05d}" if gen == 0 else f"g{gen:04d}-part={p:05d}"
 
     # ---------- meta ----------
@@ -317,27 +346,30 @@ class Lake:
         self, num_partitions: int, event_schema: pa.Schema,
         pages_path: str | None = None, history: bool = False
     ) -> None:
-        self.fs.makedirs(self._p(MANIFESTS))
+        self.fs.makedirs(self._p(SNAPSHOTS))
         self.fs.put_json(
             self._p(META),
             {
+                "format": FORMAT,
                 "partitioner": partitioner_id(),
                 "num_partitions": num_partitions,
                 "event_schema": _schema_to_b64(event_schema),
-                # crash-safe bootstrap: until every partition has committed a
-                # manifest, replays keep folding the base pages back in (the
+                # crash-safe bootstrap: until every partition has a snapshot
+                # entry, replays keep folding the base pages back in (the
                 # per-partition watermark makes that a no-op where committed)
                 "bootstrap_pages": pages_path,
-                # history=True retains every committed manifest version (one
+                # history=True retains every committed snapshot (one
                 # immutable JSON object per commit — no append, object-store
                 # safe) and the data files it references until vacuum():
                 # snapshot reads as of any retained commit (time travel)
                 "history": history,
             },
         )
+        self._invalidate()
 
     def bootstrap_pages(self) -> str | None:
-        """Pages path to keep replaying while any partition lacks a manifest."""
+        """Pages path to keep replaying while any partition lacks an entry
+        in the current snapshot."""
         meta = self.meta()
         if meta.get("bootstrap_pages") is None:
             return None
@@ -346,7 +378,14 @@ class Lake:
         return meta["bootstrap_pages"]
 
     def meta(self) -> dict:
-        return self.fs.read_json(self._p(META))
+        meta = self.fs.read_json(self._p(META))
+        if meta.get("format") != FORMAT:
+            raise RuntimeError(
+                f"lake at {self.root} has format {meta.get('format', 1)} "
+                "(one manifest per partition); this version reads format "
+                f"{FORMAT} (one table snapshot per commit) only — replay "
+                "the WAL into a new lake root")
+        return meta
 
     def num_partitions(self) -> int:
         return self.meta()["num_partitions"]
@@ -361,8 +400,8 @@ class Lake:
         silently behind (sidecars version independently of the lake; the
         token closes the gap without a cross-store atomic commit, which
         object stores cannot give us)."""
-        wm = self.watermarks()
-        return f"g{self.generation()}:txn{max(wm.values(), default=-1)}"
+        snap = self.snapshot()
+        return f"g{self.generation()}:txn{snap['txn_hi'] if snap else -1}"
 
     def validate_partitioner(self) -> None:
         """Resume safety: a changed hash implementation would silently route
@@ -382,125 +421,77 @@ class Lake:
         meta["event_schema"] = _schema_to_b64(merged)
         self.fs.put_json(self._p(META), meta)
 
-    # ---------- manifests ----------
-    def _manifest_path(self, p: int, gen: int | None = None) -> str:
-        return os.path.join(self._mdir(gen), f"part-{p:05d}.json")
+    # ---------- snapshots ----------
+    def _current_path(self, gen: int) -> str:
+        return self._p(f"_snapshot-g{gen:04d}.json")
 
-    def history_enabled(self) -> bool:
-        self.generation()  # reads the flag with the layout, once
-        return self._history
+    def _history_path(self, snap: dict) -> str:
+        return self._p(SNAPSHOTS, f"v{snap['version']:010d}"
+                                  f"-t{snap['txn_hi']:020d}.json")
 
-    def _history_dir(self, p: int, gen: int | None = None) -> str:
-        return os.path.join(self._mdir(gen), "history", f"part-{p:05d}")
+    def _history(self) -> list[tuple[int, int, str]]:
+        """The retained history copies as (version, txn_hi, name), oldest
+        first: one LIST, no read."""
+        out = []
+        for n in self.fs.list_names(self._p(SNAPSHOTS)):
+            if n.startswith("v") and n.endswith(".json"):
+                v, t = n[1:-5].split("-t", 1)
+                out.append((int(v), int(t), n))
+        return sorted(out)
 
-    def _version_names(self, p: int, gen: int | None = None):
-        """(current manifest, retained history file names oldest first);
-        names is None when the partition keeps no history dir."""
-        hdir = self._history_dir(p, gen)
-        cur = self.manifest(p, gen)
-        if not self.fs.exists(hdir):
-            return cur, None
-        # trust only versions <= the committed current one: a crash between
-        # the history PUT and the current-manifest PUT (the commit point) can
-        # leave one newer orphan entry, which the redone commit overwrites.
-        # The file name carries the version (v-<version>.json)
-        cur_v = cur.get("version", -1) if cur else -1
-        vs = sorted(int(n[2:-5]) for n in self.fs.list_names(hdir)
-                    if n.startswith("v-") and n.endswith(".json"))
-        return cur, [f"v-{v:06d}.json" for v in vs if v <= cur_v]
+    def _current(self) -> dict | None:
+        path = self._current_path(self.generation())
+        return self.fs.read_json(path) if self.fs.exists(path) else None
 
-    def versions(self, p: int, gen: int | None = None) -> list[dict]:
-        """All retained committed manifest versions for a partition, oldest
-        first. With history off this is just the current manifest."""
-        cur, names = self._version_names(p, gen)
-        if names is None:
-            return [cur] if cur is not None else []
-        hdir = self._history_dir(p, gen)
-        return [self.fs.read_json(os.path.join(hdir, n)) for n in names]
-
-    def manifest_as_of(self, p: int, as_of_txn: int,
-                       gen: int | None = None) -> dict | None:
-        """Latest retained version with txn_hi <= as_of_txn (time-travel
-        floor — snapshot granularity is the commit boundary, like any
-        versioned lake). None if the partition had no commit by then; raises
-        if the snapshot has been vacuumed away. ``gen`` defaults to the
-        generation active at ``as_of_txn`` (time travel across a partition
-        evolution resolves against the OLD layout's manifests).
-
-        Binary search over the retained versions: txn_hi never decreases
-        from one version to the next (commits are monotonic, a compaction
-        keeps it), so O(log versions) history reads, not one per version —
-        a change feed on a long-tailed history lake resolves two snapshots
-        per partition."""
-        gen = self._resolve_gen(gen, as_of_txn)
-        cur, names = self._version_names(p, gen)
-        if cur is None or cur["txn_hi"] <= as_of_txn:
-            return cur  # no commit yet, or the newest version is the answer
-        names = names or []
-        hdir = self._history_dir(p, gen)
-
-        @functools.lru_cache(maxsize=None)
-        def at(i: int) -> dict:
-            return self.fs.read_json(os.path.join(hdir, names[i]))
-
-        lo, hi = 0, len(names)  # lo ends as the count with txn_hi <= as_of
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if at(mid)["txn_hi"] <= as_of_txn:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo:
-            return at(lo - 1)
-        oldest = at(0) if names else cur
-        if oldest.get("version", 0) > 0:  # partition exists, older ones gone
+    def snapshot(self, as_of_txn: int | None = None) -> dict | None:
+        """The committed table snapshot: the current one, or the newest
+        retained one whose txn_hi is at most ``as_of_txn`` (time travel —
+        snapshot granularity is the commit, like any versioned lake; it
+        carries the generation it was written in, so a txn before a
+        partition evolution resolves in the old layout). None if nothing
+        was committed by then; raises if that snapshot was vacuumed away.
+        Reads the current snapshot, and for an older txn one LIST of the
+        history plus one object. History copies are trusted only below
+        the current version: a newer one was never committed."""
+        cur = self._current()
+        if as_of_txn is None or cur is None or cur["txn_hi"] <= as_of_txn:
+            return cur
+        older = [h for h in self._history() if h[0] < cur["version"]]
+        hit = [n for _, t, n in older if t <= as_of_txn]
+        if hit:
+            return self.fs.read_json(self._p(SNAPSHOTS, hit[-1]))
+        if (older[0][0] if older else cur["version"]) > 0:
             raise ValueError(
-                f"partition {p}: snapshot as of txn {as_of_txn} was "
-                f"vacuumed (oldest retained commit is txn {oldest['txn_hi']})"
-            )
+                f"snapshot as of txn {as_of_txn} was vacuumed (oldest "
+                f"retained commit is txn {older[0][1] if older else cur['txn_hi']})")
         return None
 
-    def manifest(self, p: int, gen: int | None = None) -> dict | None:
-        path = self._manifest_path(p, gen)
-        if not self.fs.exists(path):
-            return None
-        return self.fs.read_json(path)
+    def versions(self) -> list[dict]:
+        """All retained committed snapshots, oldest first, the current one
+        last. Without history this is just the current snapshot."""
+        cur = self._current()
+        if cur is None:
+            return []
+        return [self.fs.read_json(self._p(SNAPSHOTS, n))
+                for v, _, n in self._history() if v < cur["version"]] + [cur]
 
-    def watermarks(self, gen: int | None = None) -> dict[int, int]:
+    def manifest(self, p: int, as_of_txn: int | None = None) -> dict | None:
+        """Partition ``p``'s entry in the snapshot (see snapshot())."""
+        return entries(self.snapshot(as_of_txn)).get(p)
+
+    def watermarks(self) -> dict[int, int]:
         """Per-partition committed txn_hi — the resumable checkpoint."""
-        return {p: m["txn_hi"] for p, m in self._manifests(gen).items()}
+        return {p: e["txn_hi"] for p, e in entries(self.snapshot()).items()}
 
-    def _manifests(self, gen: int | None = None) -> dict[int, dict]:
-        """Current manifest of every committed partition: one list, one
-        read each."""
-        out: dict[int, dict] = {}
-        mdir = self._mdir(gen)
-        for name in self.fs.list_names(mdir):
-            if name.startswith("part-") and name.endswith(".json"):
-                m = self.fs.read_json(os.path.join(mdir, name))
-                out[m["partition"]] = m
-        return out
-
-    def _manifests_at(self, mans: dict[int, dict], as_of_txn: int | None,
-                      gen: int) -> dict[int, dict]:
-        """Manifests of the snapshot at ``as_of_txn`` (None = the current
-        manifests ``mans``), by partition; partitions without a commit by
-        then are left out."""
-        if as_of_txn is not None:
-            mans = {p: self.manifest_as_of(p, as_of_txn, gen) for p in mans}
-        return {p: m for p, m in sorted(mans.items()) if m is not None}
-
-    def _files_at(self, mans: dict[int, dict], as_of_txn: int | None,
-                  gen: int) -> dict[int, list[str]]:
-        """Data files per partition of the snapshot (see _manifests_at)."""
-        return {p: [self._p(f) for f in m["files"]]
-                for p, m in self._manifests_at(mans, as_of_txn, gen).items()}
+    def _files(self, snap: dict | None) -> dict[int, list[str]]:
+        """Data files per committed partition of ``snap``."""
+        return {p: [self._p(f) for f in e["files"]]
+                for p, e in entries(snap).items()}
 
     def _snapshot_files(self, as_of_txn: int | None = None) -> dict[int, list[str]]:
         """Data files per committed partition of the snapshot at
-        ``as_of_txn`` (None = current), in that snapshot's generation."""
-        gen = self._resolve_gen(None, as_of_txn)
-        return self._files_at(self._manifests(gen), as_of_txn, gen)
+        ``as_of_txn`` (None = current)."""
+        return self._files(self.snapshot(as_of_txn))
 
     def _in_driver(self, files, columns: list[str] | None = None) -> bool:
         """The executor choice of one read of ``columns`` (all when None) of
@@ -518,18 +509,17 @@ class Lake:
         return in_driver(lakefs.footer_bytes(self.fs, files, columns))
 
     # ---------- staging / data ----------
-    def stage_dir(self, run_id: str, p: int) -> str:
-        d = self._p(STAGING, run_id, f"part-{p:05d}")
-        self.fs.makedirs(d)
-        return d
-
     COMPRESSION = "zstd"  # lake files are long-lived: trade CPU for bytes
 
     def write_staged(self, run_id: str, p: int, table: pa.Table) -> dict:
-        """Called from inside merge tasks: write new partition state, return
-        commit metadata (a small row — the data itself never re-shuffles)."""
-        path = os.path.join(self.stage_dir(run_id, p), f"data-{uuid.uuid4().hex}.parquet")
+        """Called from inside merge tasks: write new partition state into
+        the run's staging directory, return commit metadata (a small row —
+        the data itself never re-shuffles)."""
+        d = self._p(STAGING, run_id)
+        self.fs.makedirs(d)
+        path = os.path.join(d, f"part-{p:05d}-{uuid.uuid4().hex}.parquet")
         self.fs.write_parquet(table, path, compression=self.COMPRESSION)
+        failpoint("staged")
         return {
             "partition": p,
             "staged": [path],
@@ -537,25 +527,20 @@ class Lake:
             "num_bytes": table.nbytes,
         }
 
-    def partition_files(self, p: int, as_of_txn: int | None = None,
-                        gen: int | None = None) -> list[str]:
-        m = (self.manifest(p, gen) if as_of_txn is None
-             else self.manifest_as_of(p, as_of_txn, gen))
-        if m is None:
-            return []
-        return [self._p(f) for f in m["files"]]
+    def partition_files(self, p: int, as_of_txn: int | None = None) -> list[str]:
+        return self._files(self.snapshot(as_of_txn)).get(p, [])
 
     def read_state_raw(self, p: int, as_of_txn: int | None = None,
-                       gen: int | None = None, columns: list[str] | None = None,
+                       columns: list[str] | None = None,
                        files: list[str] | None = None) -> pa.Table | None:
         """Concat of base + delta files — may contain superseded rows and
         tombstones; LWW lineage (txn_id, seq) resolves them. ``columns``
         reads only those columns plus LINEAGE (key, lineage and tombstone
         marker, so LWW still resolves). ``files`` reads that file list
-        instead of looking up the partition's manifest (for callers that
-        already hold it)."""
+        instead of looking up the partition in the snapshot (for callers
+        that already hold it)."""
         if files is None:
-            files = self.partition_files(p, as_of_txn, gen)
+            files = self.partition_files(p, as_of_txn)
         if not files:
             return None
         cols = None if columns is None else _read_columns(columns)
@@ -567,7 +552,7 @@ class Lake:
     read_state = read_state_raw
 
     def resolve(self, p: int, as_of_txn: int | None = None,
-                gen: int | None = None, columns: list[str] | None = None,
+                columns: list[str] | None = None,
                 files: list[str] | None = None) -> pa.Table | None:
         """Materialized view of a partition: LWW over base+deltas, tombstones
         dropped, op column removed (delta-file resolution). ``as_of_txn``
@@ -580,7 +565,7 @@ class Lake:
         and seq."""
         from ..stages.merge import resolve_state
 
-        raw = self.read_state_raw(p, as_of_txn, gen, columns, files)
+        raw = self.read_state_raw(p, as_of_txn, columns, files)
         if raw is None:
             return None
         return resolve_state(raw)
@@ -590,171 +575,196 @@ class Lake:
         return len(m["files"]) if m else 0
 
     # ---------- commit ----------
-    def commit(
-        self, p: int, txn_hi: int, staged: list[str], row_count: int,
-        num_bytes: int, run_id: str, mode: str = "rewrite"
-    ) -> str:
-        """Atomic label-deduped commit. Returns 'committed' or 'skipped'.
+    def commit(self, staged: list[dict], run_id: str,
+               advance_to: int | None = None) -> list[str]:
+        """Commit one epoch as ONE new table snapshot (module docstring);
+        returns each entry's status, 'committed' or 'skipped'.
 
-        mode="rewrite": staged files REPLACE the partition (full state or a
-        compaction). mode="delta": staged files APPEND — they hold only this
-        epoch's LWW winners incl. tombstones, resolved against older files at
-        read time (the merge-amplification fix for steady-state epochs: an
-        epoch touching 1% of a partition writes 1%, not 100%).
-        mode="watermark": no data; advance txn_hi only (a partition that saw
-        no rows in a fully-applied epoch still applied it — without this,
-        one empty hash bucket pins the global low watermark forever and
-        every future epoch re-reads the whole history).
-        mode="compact": replace files at the SAME txn_hi (resolving deltas
-        changes layout, not state) — exempt from the monotonic-label check."""
-        cur = self.manifest(p)
-        replayed = cur is not None and (
-            cur["txn_hi"] > txn_hi if mode == "compact" else cur["txn_hi"] >= txn_hi
-        )
-        if replayed:
-            for s in staged:  # replayed label → drop the duplicate output
-                self.fs.delete_file(s)
-            return "skipped"
-        final_dir = self._p(self._part_prefix(p), f"txn={txn_hi:010d}")
-        if staged:  # a watermark commit moves no file: no directory
-            self.fs.makedirs(final_dir)
-        rel_files = []
-        for s in staged:
-            dest = os.path.join(final_dir, os.path.basename(s))
-            self.fs.finalize(s, dest)  # rename (local) / copy+delete (object)
-            rel_files.append(os.path.relpath(dest, self.base))
-        if mode == "watermark":
-            files = list(cur["files"]) if cur else []
-            n_deltas = cur.get("n_deltas", 0) if cur else 0
-        elif mode == "compact":
-            files = rel_files
-            n_deltas = 0
-        elif mode == "delta" and cur is not None:
-            files = list(cur["files"]) + rel_files
-            n_deltas = cur.get("n_deltas", 0) + 1
-        else:
-            files = rel_files
-            n_deltas = 0
-        manifest = {
-            "partition": p,
-            "txn_hi": txn_hi,
-            "files": files,
-            "n_deltas": n_deltas,
-            "row_count": (cur.get("row_count", 0) if (mode == "watermark" and cur)
-                          else row_count),
-            "num_bytes": (cur.get("num_bytes", 0) if (mode == "watermark" and cur)
-                          else num_bytes),
-            "run_id": run_id,
-            "version": (cur.get("version", -1) + 1) if cur else 0,
-            "mode": mode,
-        }
+        ``staged``: the merges' results, {partition, txn_hi, staged,
+        row_count, num_bytes, mode}. mode="rewrite": the staged files
+        REPLACE the partition (its full state). mode="delta": they APPEND —
+        only this epoch's LWW winners incl. tombstones, resolved against
+        older files at read time (an epoch touching 1% of a partition
+        writes 1%, not 100%). mode="compact": they replace the files at the
+        SAME txn_hi (resolving deltas changes layout, not state) — exempt
+        from the monotonic label, and the partition's data_txn stays.
+
+        ``advance_to`` raises every partition's txn_hi to at least that txn
+        in the same snapshot, giving a never-written one an entry without
+        files: a partition that saw no rows in a fully-applied epoch still
+        applied it — without this, one empty hash bucket pins the global
+        low watermark forever and every future epoch re-reads the whole
+        history. Writes nothing when no entry commits and no watermark
+        moves."""
+        cur = self._current()
+        gen = self.generation()
+        parts = (list(cur["partitions"]) if cur is not None
+                 else [None] * self._meta_cached()["num_partitions"])
+        status = []
+        for m in staged:
+            p, txn, mode = int(m["partition"]), int(m["txn_hi"]), str(m["mode"])
+            old = parts[p]
+            if old is not None and (old["txn_hi"] > txn if mode == "compact"
+                                    else old["txn_hi"] >= txn):
+                for s in m["staged"]:  # replayed label → drop the duplicate
+                    self.fs.delete_file(s)
+                status.append("skipped")
+                continue
+            final_dir = self._p(self._part_prefix(p, gen), f"txn={txn:010d}")
+            if m["staged"]:
+                self.fs.makedirs(final_dir)
+            files = []
+            for s in m["staged"]:
+                dest = os.path.join(final_dir, os.path.basename(s))
+                self.fs.finalize(s, dest)  # rename (local) / copy+delete (object)
+                failpoint("finalize")
+                files.append(os.path.relpath(dest, self.base))
+            append = mode == "delta" and old is not None
+            parts[p] = {
+                "files": old["files"] + files if append else files,
+                "n_deltas": old["n_deltas"] + 1 if append else 0,
+                "txn_hi": txn,
+                "data_txn": old["data_txn"] if mode == "compact" else txn,
+                "row_count": int(m["row_count"]),
+                "num_bytes": int(m["num_bytes"]),
+                "mode": mode,
+            }
+            status.append("committed")
+        if advance_to is not None:
+            for p, e in enumerate(parts):
+                if e is None:
+                    parts[p] = {"files": [], "n_deltas": 0,
+                                "txn_hi": advance_to, "data_txn": -1,
+                                "row_count": 0, "num_bytes": 0, "mode": "none"}
+                elif e["txn_hi"] < advance_to:
+                    parts[p] = {**e, "txn_hi": advance_to}
+        if parts == (cur["partitions"] if cur is not None
+                     else [None] * len(parts)):
+            return status
+        snap = {"version": cur["version"] + 1 if cur is not None else 0,
+                "generation": gen,
+                "txn_hi": max(e["txn_hi"] for e in parts if e is not None),
+                "run_id": run_id, "partitions": parts}
+        self._put_snapshot(snap, cur)
+        if cur is not None and not self.history_enabled():
+            self._drop_files(_rel_files([cur]) - _rel_files([snap]),
+                             _rel_files([snap]))
+            failpoint("gc")
+        return status
+
+    def _put_snapshot(self, snap: dict, prev: dict | None, flip=None) -> None:
+        """Make ``snap`` current with one PUT — the commit point; ``flip``
+        (evolve_partitions' _meta.json PUT) runs right after it. History
+        lakes then PUT its immutable copy, first re-writing ``prev``'s if a
+        crash between those two PUTs lost it."""
         history = self.history_enabled()
+        if history and prev is not None \
+                and not self.fs.exists(self._history_path(prev)):
+            self.fs.put_json(self._history_path(prev), prev)
+        self.fs.put_json(self._current_path(snap["generation"]), snap)
+        if flip is not None:
+            flip()
+        failpoint("snapshot")
         if history:
-            # one immutable object per committed version (no append — safe on
-            # object stores); the CURRENT manifest PUT below stays the single
-            # atomic commit point, so a crash between these two writes leaves
-            # at worst an orphan history entry that the next commit's version
-            # number simply overwrites
-            hdir = self._history_dir(p)
-            self.fs.makedirs(hdir)
-            self.fs.put_json(
-                os.path.join(hdir, f"v-{manifest['version']:06d}.json"),
-                manifest,
-            )
-        self.fs.put_json(self._manifest_path(p), manifest)
-        if not history:
-            self._gc_partition(p, files)
-        return "committed"
+            self.fs.put_json(self._history_path(snap), snap)
+            failpoint("history")
 
-    def _gc_partition(self, p: int, live_rel_files: list[str]) -> int:
-        """Drop txn dirs no longer referenced — best-effort; returns count."""
-        pdir = self._p(self._part_prefix(p))
-        live_dirs = {os.path.basename(os.path.dirname(f)) for f in live_rel_files}
-        removed = 0
-        for name in self.fs.list_names(pdir):
-            if name.startswith("txn=") and name not in live_dirs:
-                self.fs.delete_tree(os.path.join(pdir, name))
-                removed += 1
-        return removed
+    def _drop_files(self, dead: set[str], live: set[str]) -> int:
+        """Delete the lake-relative files ``dead``, none of which is in
+        ``live``: a txn= directory that holds no file of ``live`` goes
+        whole, without a listing. Returns the directories removed."""
+        live_dirs = {os.path.dirname(f) for f in live}
+        dirs = {os.path.dirname(f) for f in dead} - live_dirs
+        for d in dirs:
+            self.fs.delete_tree(self._p(d))
+        for f in dead:
+            if os.path.dirname(f) in live_dirs:
+                self.fs.delete_file(self._p(f))
+        return len(dirs)
 
     def vacuum(self, retain_last: int = 1) -> dict:
-        """Retention for history lakes: per partition, drop all but the
-        newest ``retain_last`` committed versions (the current manifest is
-        always version -1 of that list, so it is always retained) and GC txn
-        dirs referenced only by dropped versions. Reading a snapshot older
-        than the retention horizon afterwards raises (manifest_as_of).
-        Returns {"versions_dropped", "txn_dirs_removed"}."""
+        """Retention for history lakes: drop all but the newest
+        ``retain_last`` committed snapshots (the current one is always
+        retained) and delete the files only dropped snapshots referenced.
+        Reading a snapshot older than the retention horizon afterwards
+        raises (snapshot()). Returns {"versions_dropped",
+        "txn_dirs_removed"}."""
         if retain_last < 1:
             raise ValueError("retain_last must be >= 1")
-        stats = {"versions_dropped": 0, "txn_dirs_removed": 0}
-        for p in sorted(self.watermarks()):
-            vs = self.versions(p)
-            if len(vs) <= retain_last:
-                continue
-            drop, keep = vs[:-retain_last], vs[-retain_last:]
-            live = [f for v in keep for f in v["files"]]
-            cur = self.manifest(p)
-            if cur:
-                live += cur["files"]
-            stats["txn_dirs_removed"] += self._gc_partition(p, live)
-            for v in drop:
-                self.fs.delete_file(os.path.join(
-                    self._history_dir(p), f"v-{v['version']:06d}.json"))
-                stats["versions_dropped"] += 1
-        return stats
+        vs = self.versions()
+        drop, keep = vs[:-retain_last], vs[-retain_last:]
+        for v in drop:  # snapshots first: a kept one never lacks a file
+            self.fs.delete_file(self._history_path(v))
+        return {"versions_dropped": len(drop),
+                "txn_dirs_removed": self._drop_files(
+                    _rel_files(drop) - _rel_files(keep), _rel_files(keep))}
 
-    def compact_partition(self, p: int, run_id: str | None = None) -> str:
-        """Resolve a partition's base+deltas into one base file at the same
-        txn_hi. No-op on partitions without deltas; idempotent."""
-        import uuid as _uuid
+    def remove_orphans(self, max_age_sec: float = 0.0) -> int:
+        """Delete the data files that no retained snapshot references — the
+        finalized files of a commit that crashed before its snapshot PUT —
+        once they are older than ``max_age_sec``. Lists every data
+        directory, so sweep_staging calls it only when it removes a crashed
+        run's staging. Returns the files deleted."""
+        found = {os.path.join(top, txn, name)
+                 for top in self.fs.list_names(self.base) if "part=" in top
+                 for txn in self.fs.list_names(self._p(top))
+                 for name in self.fs.list_names(self._p(top, txn))}
+        now = time.time()  # an unknown mtime (0) never reads as old
+        dead = {f for f in found - _rel_files(self.versions())
+                if 0 < self.fs.mtime(self._p(f)) <= now - max_age_sec}
+        self._drop_files(dead, found - dead)
+        return len(dead)
 
-        from ..stages.merge import resolve_state
-
-        m = self.manifest(p)
-        if m is None or m.get("n_deltas", 0) == 0:
-            return "noop"
-        run_id = run_id or f"compact-{_uuid.uuid4().hex[:8]}"
-        raw = self.read_state_raw(p)
-        resolved = resolve_state(raw)
-        meta = self.write_staged(run_id, p, resolved)
-        status = self.commit(p, m["txn_hi"], meta["staged"], meta["row_count"],
-                             meta["num_bytes"], run_id, mode="compact")
-        self.cleanup_staging(run_id)
-        return status
+    def _delta_bytes(self, e: dict | None) -> int:
+        if e is None or e["n_deltas"] == 0:
+            return 0
+        return sum(self.fs.size(self._p(f)) for f in e["files"][1:])
 
     def delta_bytes(self, p: int) -> int:
         """Bytes held in a partition's delta files (files after the base)."""
-        m = self.manifest(p)
-        if m is None or m.get("n_deltas", 0) == 0:
-            return 0
-        return sum(self.fs.size(self._p(f)) for f in m["files"][1:])
+        return self._delta_bytes(self.manifest(p))
+
+    def _compact_job(self, p: int, files: list[str], txn_hi: int,
+                     run_id: str) -> dict:
+        """Stage one partition's base + deltas resolved into one base file."""
+        from ..stages.merge import resolve_state
+
+        meta = self.write_staged(
+            run_id, p, resolve_state(self.read_state_raw(p, files=files)))
+        return {**meta, "txn_hi": txn_hi, "mode": "compact"}
 
     def compact_all(self, parallel: bool = True,
                     min_delta_bytes: int | None = None) -> int:
-        """Compact delta-bearing partitions; returns count compacted. One
-        job per partition through run_partition_jobs: in the driver when
+        """Compact delta-bearing partitions into one base file each at the
+        same txn_hi, in one commit; returns the count compacted. One job
+        per partition through run_partition_jobs: in the driver when
         in_driver says so for their files (or with ``parallel=False``),
-        else distributed.
+        else distributed. Idempotent.
 
         min_delta_bytes schedules by accumulated DELTA VOLUME rather than
         file count: a hot partition with many large deltas compacts early, a
         cold one with a few tiny deltas is left alone — the knob that keeps
         steady-state compaction I/O proportional to churn, not to partition
         count."""
-        mans = {p: m for p, m in self._manifests().items()
-                if m.get("n_deltas", 0) > 0}
-        if min_delta_bytes is not None:
-            mans = {p: m for p, m in mans.items()
-                    if self.delta_bytes(p) >= min_delta_bytes}
-        if not mans:
+        todo = {p: e for p, e in entries(self.snapshot()).items()
+                if e["n_deltas"] > 0 and (min_delta_bytes is None or
+                                          self._delta_bytes(e) >= min_delta_bytes)}
+        if not todo:
             return 0
+        run_id = f"compact-{uuid.uuid4().hex[:8]}"
+        files = {p: [self._p(f) for f in e["files"]] for p, e in todo.items()}
         local = not parallel or self._in_driver(
-            self._p(f) for m in mans.values() for f in m["files"])
-        return sum(r == "committed" for r in run_partition_jobs(
-            Lake.compact_partition, [(self, p) for p in sorted(mans)], local))
+            f for fs_ in files.values() for f in fs_)
+        staged = run_partition_jobs(
+            Lake._compact_job, [(self, p, files[p], todo[p]["txn_hi"], run_id)
+                                for p in sorted(todo)], local)
+        status = self.commit(staged, run_id)
+        self.cleanup_staging(run_id)
+        return status.count("committed")
 
     def cleanup_staging(self, run_id: str) -> None:
         self.fs.delete_tree(self._p(STAGING, run_id))
+        failpoint("cleanup")
 
     # ---------- online partition evolution ----------
     def _rehash(self, src_parts: list[int], read, n_new: int, combine,
@@ -801,34 +811,32 @@ class Lake:
 
     def evolve_partitions(self, new_num_partitions: int) -> dict:
         """Re-bucket a LIVE lake to a new partition count, in place, with a
-        manifest-recorded epoch boundary — no path swap, no downtime window
-        for readers (reference analog: per-job split re-planning,
+        recorded epoch boundary — no path swap, no downtime window for
+        readers (reference analog: per-job split re-planning,
         plugin-rdbms-util/.../ReaderSplitUtil.java, made durable).
 
         Protocol (single atomic commit point, object-store safe):
           1. every current partition's resolved state is re-hashed into
              ``new_num_partitions`` buckets (distributed when Ray is up) and
              written under generation-scoped data dirs
-             (``g<k+1>-part=…/txn=<boundary>/``) with fresh manifests in
-             ``_manifests/g<k+1>/`` — all INVISIBLE while _meta.json still
-             says generation k;
+             (``g<k+1>-part=…/txn=<boundary>/``) with the new layout's
+             snapshot in ``_snapshot-g<k+1>.json`` — all INVISIBLE while
+             _meta.json still says generation k;
           2. one _meta.json PUT flips {generation, num_partitions} and
              appends the epoch {generation, num_partitions, boundary_txn}.
         A crash before the flip leaves orphan g-dirs (garbage, not
-        corruption — re-running overwrites the manifests); after the flip
+        corruption — re-running overwrites the snapshot); after the flip
         the evolution is durable. Replays before/after the boundary route
         correctly: the WAL watermark carries over (boundary = min committed
         txn_hi, same rule as offline repartition_lake — a lagging partition
         must not have its unapplied events skipped), and every new partition
-        gets a manifest at the boundary so the uniform-watermark invariant
+        gets an entry at the boundary so the uniform-watermark invariant
         holds. Time travel to txns before the boundary resolves against the
-        old generation's retained manifests (history lakes); with history
+        old generation's retained snapshots (history lakes); with history
         off the old generation's files are GC'd after the flip.
 
         Cost: one full-lake rewrite (O(lake bytes), distributed) — a
         one-time reshape; steady-state epoch cost is unchanged."""
-        import uuid as _uuid
-
         if new_num_partitions < 1:
             raise ValueError("new_num_partitions must be >= 1")
         self._invalidate()
@@ -836,27 +844,23 @@ class Lake:
         old_p = meta["num_partitions"]
         old_gen = int(meta.get("generation", 0))
         new_gen = old_gen + 1
-        old_mans = self._manifests(old_gen)
-        boundary = min((m["txn_hi"] for m in old_mans.values()), default=0)
-        old_files = self._files_at(old_mans, None, old_gen)
-        run_id = f"evolve-{_uuid.uuid4().hex[:8]}"
+        old = self._current()
+        boundary = min((e["txn_hi"] for e in entries(old).values()), default=0)
+        old_files = self._files(old)
+        run_id = f"evolve-{uuid.uuid4().hex[:8]}"
 
-        def write_one(q: int, old: pa.Table | None) -> dict | None:
-            return None if old is None else self.write_staged(run_id, q, old)
+        def write_one(q: int, rows: pa.Table | None) -> dict | None:
+            return None if rows is None else self.write_staged(run_id, q, rows)
 
-        src_parts = sorted(old_files)
         local = self._in_driver(f for fs_ in old_files.values() for f in fs_)
         staged = self._rehash(
-            src_parts, lambda p: self.resolve(p, files=old_files[p]),
+            sorted(old_files), lambda p: self.resolve(p, files=old_files[p]),
             new_num_partitions, write_one, local)
 
-        # finalize + write new-generation manifests (invisible until flip)
-        mdir = self._mdir(new_gen)
-        self.fs.makedirs(mdir)
-        rows_total = 0
-        for q in range(new_num_partitions):
-            s = staged[q]
-            rel_files: list[str] = []
+        # finalize into the new generation's dirs (invisible until the flip)
+        parts = []
+        for q, s in enumerate(staged):
+            files: list[str] = []
             if s is not None:
                 final_dir = self._p(self._part_prefix(q, new_gen),
                                     f"txn={boundary:010d}")
@@ -864,73 +868,55 @@ class Lake:
                 for sf in s["staged"]:
                     dest = os.path.join(final_dir, os.path.basename(sf))
                     self.fs.finalize(sf, dest)
-                    rel_files.append(os.path.relpath(dest, self.base))
-            man = {
-                "partition": q,
-                "txn_hi": boundary,
-                "files": rel_files,
-                "n_deltas": 0,
-                "row_count": s["row_count"] if s else 0,
-                "num_bytes": s["num_bytes"] if s else 0,
-                "run_id": run_id,
-                "version": 0,
-                "mode": "evolve",
-            }
-            rows_total += man["row_count"]
-            if meta.get("history"):
-                hdir = self._history_dir(q, new_gen)
-                self.fs.makedirs(hdir)
-                self.fs.put_json(os.path.join(hdir, "v-000000.json"), man)
-            self.fs.put_json(self._manifest_path(q, new_gen), man)
+                    files.append(os.path.relpath(dest, self.base))
+            parts.append({"files": files, "n_deltas": 0, "txn_hi": boundary,
+                          "data_txn": boundary,
+                          "row_count": s["row_count"] if s else 0,
+                          "num_bytes": s["num_bytes"] if s else 0,
+                          "mode": "evolve"})
         self.cleanup_staging(run_id)
+        snap = {"version": old["version"] + 1 if old is not None else 0,
+                "generation": new_gen, "txn_hi": boundary, "run_id": run_id,
+                "partitions": parts}
 
-        # the atomic flip
-        meta["num_partitions"] = new_num_partitions
-        meta["generation"] = new_gen
-        meta.setdefault("partition_epochs", []).append({
-            "generation": new_gen,
-            "num_partitions": new_num_partitions,
-            "prev_num_partitions": old_p,
-            "boundary_txn": boundary,
-        })
-        self.fs.put_json(self._p(META), meta)
-        self._invalidate()
+        def flip() -> None:  # the atomic flip
+            meta["num_partitions"] = new_num_partitions
+            meta["generation"] = new_gen
+            meta.setdefault("partition_epochs", []).append({
+                "generation": new_gen,
+                "num_partitions": new_num_partitions,
+                "prev_num_partitions": old_p,
+                "boundary_txn": boundary,
+            })
+            self.fs.put_json(self._p(META), meta)
+            self._invalidate()
 
+        self._put_snapshot(snap, old, flip)
+        # the old generation's snapshot is unreachable now: history lakes
+        # keep its copy under _snapshots/, the others drop its files too
+        self.fs.delete_file(self._current_path(old_gen))
         if not meta.get("history"):
-            # old generation is unreachable (no time travel) — GC it
-            for p in src_parts:
-                self.fs.delete_file(self._manifest_path(p, old_gen))
-                self.fs.delete_tree(self._history_dir(p, old_gen))
+            for p in old_files:
                 self.fs.delete_tree(self._p(self._part_prefix(p, old_gen)))
         return {"generation": new_gen, "num_partitions": new_num_partitions,
-                "boundary_txn": boundary, "rows": rows_total}
+                "boundary_txn": boundary,
+                "rows": sum(e["row_count"] for e in parts)}
 
     # ---------- reads ----------
     def all_files(self) -> list[str]:
-        files: list[str] = []
-        for p in sorted(self.watermarks()):
-            files.extend(self.partition_files(p))
-        return files
+        return [f for _, fs_ in sorted(self._snapshot_files().items())
+                for f in fs_]
 
     def read_all(self, as_of_txn: int | None = None) -> pa.Table:
         """Whole-lake resolved table (tests / small results only).
-        ``as_of_txn`` time-travels to the latest retained commit with
-        txn_hi <= as_of_txn per partition (requires init(history=True) for
-        snapshots older than the current one)."""
-        gen = self._resolve_gen(None, as_of_txn)
-        parts = [t for p in sorted(self.watermarks(gen))
-                 if (t := self.resolve(p, as_of_txn, gen)) is not None]
+        ``as_of_txn`` time-travels to the newest retained snapshot with
+        txn_hi <= as_of_txn (requires init(history=True) for snapshots
+        older than the current one)."""
+        parts = [t for p, fs_ in sorted(self._snapshot_files(as_of_txn).items())
+                 if (t := self.resolve(p, files=fs_)) is not None]
         if not parts:
             return pa.table({})
         return pa.concat_tables(parts, promote_options="permissive")
-
-    def _num_partitions(self, gen: int, meta: dict) -> int:
-        """Partition count of generation ``gen``: an older generation's is
-        the ``prev_num_partitions`` of the evolution that ended it."""
-        for e in meta.get("partition_epochs", []):
-            if e["generation"] == gen + 1:
-                return e["prev_num_partitions"]
-        return meta["num_partitions"]
 
     def _state_schema(self, meta: dict) -> pa.Schema:
         from ..schema import state_schema
@@ -942,28 +928,26 @@ class Lake:
         """Primary-key point lookup: hash each url to its bucket and
         resolve ONLY the touched partitions (≤ len(urls) of them, typically
         ≪ P), then filter to the requested keys — the O(keys/P) GET path a
-        serving layer needs, no full scan, no shuffle. Reads the touched
-        partitions' manifests only, and ``columns`` (plus the key, lineage
-        and tombstone columns) of their files. Runs in the driver when
-        in_driver says so for that input (at most LOCAL_INPUT_BYTES, or a
-        one-CPU cluster); otherwise distributed: min(touched partitions,
-        cluster CPUs) tasks (run_partition_jobs).
+        serving layer needs, no full scan, no shuffle. Reads one snapshot,
+        and ``columns`` (plus the key, lineage and tombstone columns) of
+        the touched partitions' files. Runs in the driver when in_driver
+        says so for that input (at most LOCAL_INPUT_BYTES, or a one-CPU
+        cluster); otherwise distributed: min(touched partitions, cluster
+        CPUs) tasks (run_partition_jobs).
         Absent keys and uncommitted partitions simply return no row.
         ``as_of_txn`` looks up in a retained historical snapshot."""
         from ..hashing import partition_of
 
-        if not urls:
+        snap = self.snapshot(as_of_txn) if urls else None
+        if snap is None:
             return pa.table({})
-        meta = self.meta()
-        gen = self._resolve_gen(None, as_of_txn)
-        p_of = partition_of(pa.array(urls, pa.string()),
-                            self._num_partitions(gen, meta))
+        p_of = partition_of(pa.array(urls, pa.string()), len(snap["partitions"]))
         by_part: dict[int, list[str]] = {}
         for u, p in zip(urls, p_of.tolist()):
             by_part.setdefault(int(p), []).append(u)
-        files = {p: self.partition_files(p, as_of_txn, gen) for p in sorted(by_part)}
-        files = {p: fs_ for p, fs_ in files.items() if fs_}
-        schema = self._state_schema(meta)
+        all_files = self._files(snap)
+        files = {p: all_files[p] for p in sorted(by_part) if all_files.get(p)}
+        schema = self._state_schema(self.meta())
         local = self._in_driver((f for fs_ in files.values() for f in fs_),
                                 _read_columns(columns))
         parts = run_partition_jobs(
@@ -988,19 +972,22 @@ class Lake:
         ids change meaning across an evolution) — ``changes()`` routes
         cross-generation windows through the re-hash path instead.
         ``files`` = (old snapshot's files, new snapshot's files) skips the
-        manifest lookups when the caller already resolved them."""
+        snapshot lookups (and that check) when the caller already resolved
+        them in one layout."""
         from ..stages.merge import diff_snapshots
 
-        gen = self.generation() if gen is None else gen
-        if self._gen_for_txn(since_txn) != gen or (
-                until_txn is not None and self._gen_for_txn(until_txn) != gen):
-            raise ValueError(
-                "partition_changes cannot diff across a partition-evolution "
-                "boundary (partition ids change meaning); use Lake.changes()"
-                f" (epochs: {self.partition_epochs()})")
-        old_files, new_files = files if files is not None else (None, None)
-        old = self.resolve(p, as_of_txn=since_txn, gen=gen, files=old_files)
-        new = self.resolve(p, as_of_txn=until_txn, gen=gen, files=new_files)
+        if files is None:
+            gen = self.generation() if gen is None else gen
+            if self._gen_for_txn(since_txn) != gen or (
+                    until_txn is not None and self._gen_for_txn(until_txn) != gen):
+                raise ValueError(
+                    "partition_changes cannot diff across a partition-evolution "
+                    "boundary (partition ids change meaning); use Lake.changes()"
+                    f" (epochs: {self.partition_epochs()})")
+            files = (self.partition_files(p, since_txn),
+                     self.partition_files(p, until_txn))
+        old = self.resolve(p, files=files[0])
+        new = self.resolve(p, files=files[1])
         return diff_snapshots(old, new, pre_images=pre_images)
 
     def _change_parts(self, since_txn: int, until_txn: int | None,
@@ -1009,38 +996,26 @@ class Lake:
         per-partition diff jobs, see changes()."""
         from ..stages.merge import diff_snapshots
 
-        g_until = (self.generation() if until_txn is None
-                   else self._gen_for_txn(until_txn))
-        g_since = self._gen_for_txn(since_txn)
-        mans = self._manifests(g_until)
-        new = self._files_at(mans, until_txn, g_until)
-        if g_since == g_until:
-            old = self._files_at(mans, since_txn, g_until)
-            local = self._in_driver(
-                f for fs_ in (*old.values(), *new.values()) for f in fs_)
+        new_snap, old_snap = self.snapshot(until_txn), self.snapshot(since_txn)
+        new, old = self._files(new_snap), self._files(old_snap)
+        local = self._in_driver(
+            f for fs_ in (*old.values(), *new.values()) for f in fs_)
+        if old_snap is None or new_snap is None \
+                or old_snap["generation"] == new_snap["generation"]:
             return run(Lake.partition_changes,
-                       [(self, p, since_txn, until_txn, pre_images, g_until,
-                         (old.get(p, []), new.get(p, []))) for p in sorted(mans)
+                       [(self, p, since_txn, until_txn, pre_images, None,
+                         (old.get(p, []), new.get(p, [])))
+                        for p in sorted(old.keys() | new.keys())
                         if old.get(p) or new.get(p)], local)
 
         # ---- cross-generation window: re-hash the old snapshot ----
-        old_mans = self._manifests(g_since)
-        if not old_mans:
-            raise ValueError(
-                f"generation {g_since} manifests are gone (evolution on a "
-                "non-history lake GCs them) — cross-boundary change feeds "
-                "need init(history=True)")
-        old = self._files_at(old_mans, since_txn, g_since)
-
         def diff_new(p: int, old_rows: pa.Table | None) -> pa.Table:
             return diff_snapshots(old_rows, self.resolve(p, files=new.get(p, [])),
                                   pre_images=pre_images)
 
-        local = self._in_driver(
-            f for fs_ in (*old.values(), *new.values()) for f in fs_)
         return self._rehash(
             sorted(old), lambda q: self.resolve(q, files=old[q]),
-            self._num_partitions(g_until, self.meta()), diff_new, local, run)
+            len(new_snap["partitions"]), diff_new, local, run)
 
     def changes(self, since_txn: int, until_txn: int | None = None,
                 pre_images: bool = False):
@@ -1058,8 +1033,8 @@ class Lake:
         uses) and each new-gen partition diffs its re-bucketed old state
         against its own snapshot — one extra exchange of the old snapshot,
         still no global shuffle of the new side. Requires the old
-        generation's manifests (history lakes retain them; non-history lakes
-        GC them at evolution)."""
+        generation's snapshot (history lakes retain it; non-history lakes
+        GC it at evolution)."""
         return self._change_parts(since_txn, until_txn, pre_images,
                                   jobs_dataset)
 
@@ -1080,17 +1055,16 @@ class Lake:
         whole-partition for delta partitions — delta resolution must read
         every surviving partition's full lineage, so per-file pruning there
         would be unsound). ``as_of_txn`` plans against the retained historical
-        version instead (time travel; partitions with no commit by then are
+        snapshot instead (time travel; partitions with no commit by then are
         skipped). Returns the plan — ``part_files``: the files to read per
         surviving partition — plus pruning counters so callers and tests
         can verify fewer files are opened."""
         from .predicate import normalize
 
         pred = normalize(predicate)
-        gen = self._resolve_gen(None, as_of_txn)
-        mans = self._manifests_at(self._manifests(gen), as_of_txn, gen)
-        files_of = {p: [self._p(f) for f in m["files"]] for p, m in mans.items()}
-        delta_parts = [p for p, m in mans.items() if m.get("n_deltas", 0) > 0]
+        snap = self.snapshot(as_of_txn)
+        files_of = self._files(snap)
+        delta_parts = [p for p, e in entries(snap).items() if e["n_deltas"] > 0]
         base = {p: fs_ for p, fs_ in files_of.items() if p not in delta_parts}
         n_base, n_delta = sum(map(len, base.values())), len(delta_parts)
         if pred is not None and pred.conjuncts:
@@ -1142,3 +1116,8 @@ class Lake:
         return jobs_dataset(
             _read_job, [(self, p, fs_, columns, conjuncts, None, schema)
                         for p, fs_ in plan["part_files"].items()], local)
+
+
+def _rel_files(snaps: list[dict]) -> set[str]:
+    """Every lake-relative data file the snapshots reference."""
+    return {f for s in snaps for e in entries(s).values() for f in e["files"]}

@@ -103,6 +103,47 @@ def test_incremental_join_base_carried_forward(tmp_path, scheme, executor):
     assert inc.to_pydict() == full.to_pydict()
 
 
+def test_incremental_join_diffs_only_written_buckets(tmp_path, scheme,
+                                                     executor, monkeypatch):
+    """After an epoch that writes one url to each lake (every partition's
+    watermark still advances), a refresh diffs that url's one bucket, not
+    all 8: buckets are picked by the txn of their last data write. The
+    result still equals the full re-join."""
+    import pyarrow.parquet as pq
+
+    from dataxray.pipelines import derive
+
+    la, _ = _two_epoch_lake(tmp_path, scheme, "wa", seed=5)
+    lb, _ = _two_epoch_lake(tmp_path, scheme, "wb", seed=6)
+    since = [lk.snapshot()["txn_hi"] for lk in (la, lb)]
+    for lk, name, txn in ((la, "wa", since[0]), (lb, "wb", since[1])):
+        epochs = tmp_path / f"epochs-{name}"
+        row = pq.read_table(epochs / sorted(os.listdir(epochs))[0]).slice(0, 1)
+        for col, value in (("url", "https://example.com/0"),
+                           ("txn_id", txn + 1), ("op", "U"),
+                           ("text", f"rewritten in {name}")):
+            i = row.schema.get_field_index(col)
+            row = row.set_column(i, col, pa.array([value], row.schema[i].type))
+        pq.write_table(row, epochs / "events-99999.parquet")
+        replay(str(epochs), lk.root,
+               cfg=ReplayConfig(num_partitions=8, history=True))
+        assert set(Lake(lk.root).watermarks().values()) == {txn + 1}
+    base = joined_group_stats(la, lb, as_of_a=since[0], as_of_b=since[1])
+
+    jobs, real = [], derive.run_partition_jobs
+
+    def spy(fn, js, local):
+        jobs.append(len(js))
+        return real(fn, js, local)
+
+    monkeypatch.setattr(derive, "run_partition_jobs", spy)
+    inc = incremental_join_stats(la, lb, since_a=since[0], since_b=since[1],
+                                 base=base)
+    monkeypatch.setattr(derive, "run_partition_jobs", real)
+    assert jobs == [1]
+    assert inc.to_pydict() == joined_group_stats(la, lb).to_pydict()
+
+
 def test_join_view_refuses_mismatched_bucketing(tmp_path, scheme, executor):
     """Co-bucketing is load-bearing: different partition counts must be
     refused (a silent mis-bucketed join would drop matches)."""

@@ -189,12 +189,11 @@ def test_evolve_gc_without_history(data_dir, tmp_path):
     before = _lake_df(lake)
     assert any(n.startswith("part=") for n in os.listdir(lake))
     Lake(lake).evolve_partitions(8)
-    # old generation's data dirs and manifests are gone
+    # old generation's data dirs and snapshot are gone
     assert not any(n.startswith("part=") for n in os.listdir(lake))
     assert any(n.startswith("g0001-part=") for n in os.listdir(lake))
-    assert not any(n.endswith(".json")
-                   for n in os.listdir(os.path.join(lake, "_manifests"))
-                   if n.startswith("part-"))
+    assert not os.path.exists(os.path.join(lake, "_snapshot-g0000.json"))
+    assert os.path.exists(os.path.join(lake, "_snapshot-g0001.json"))
     after = _lake_df(lake)
     assert after["url"].tolist() == before["url"].tolist()
     assert after["text"].tolist() == before["text"].tolist()

@@ -181,35 +181,37 @@ def test_dirty_rows_under_budget(executor, tmp_path):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_crash_resume(executor, data_dir, tmp_path, monkeypatch, scheme):
-    """The driver dies after 3 of P commits; the resume re-applies exactly
-    the uncommitted partitions' pages and events."""
+    """The driver dies mid-commit, after finalizing 3 of P partitions'
+    files: no partition is committed, and the resume applies every page and
+    event exactly once."""
     from dataxray.state import manifest as M
+
+    class Crash(BaseException):
+        pass
 
     lake = scheme + str(tmp_path / "lake")
     events = os.path.join(data_dir, "events")
-    real_commit = M.Lake.commit
-    calls = {"n": 0}
+    finalized, real = [], M.failpoint
 
-    def dying_commit(self, *a, **k):
-        calls["n"] += 1
-        return real_commit(self, *a, **k) if calls["n"] <= 3 else "skipped"
+    def failpoint(name):
+        if name == "finalize":
+            finalized.append(name)
+            if len(finalized) == 3:
+                raise Crash
 
-    monkeypatch.setattr(M.Lake, "commit", dying_commit)
-    replay(events, lake, pages_path=os.path.join(data_dir, "pages.parquet"),
-           cfg=ReplayConfig(num_partitions=P))
-    monkeypatch.setattr(M.Lake, "commit", real_commit)
-    done = set(Lake(lake).watermarks())
-    assert len(done) == 3
+    monkeypatch.setattr(M, "failpoint", failpoint)
+    with pytest.raises(Crash):
+        replay(events, lake, pages_path=os.path.join(data_dir, "pages.parquet"),
+               cfg=ReplayConfig(num_partitions=P))
+    monkeypatch.setattr(M, "failpoint", real)
+    assert Lake(lake).watermarks() == {}
 
     rep = replay(events, lake, cfg=ReplayConfig(num_partitions=P))
     assert rep.executor == executor
-    pending = lambda t: int((~np.isin(partition_of(t["url"], P),  # noqa: E731
-                                      list(done))).sum())
     want = _oracle(CFG)
-    assert rep.partitions_committed == P - 3
-    assert rep.read_succeed_records == (pending(generate_pages(CFG))
-                                        + pending(_events(CFG)))
-    assert rep.write_succeed_records == pending(pa.table({"url": want["url"]}))
+    assert rep.partitions_committed == P
+    assert rep.read_succeed_records == len(generate_pages(CFG)) + len(_events(CFG))
+    assert rep.write_succeed_records == len(want)
     assert_lake_is(lake, want)
 
 
@@ -423,12 +425,14 @@ def test_driver_replay_streams_one_wal_file_at_a_time(data_dir, tmp_path,
 
 def test_resume_counts_exactly_the_events_above_each_watermark(
         executor, data_dir, tmp_path, monkeypatch):
-    """An epoch dies after 3 of its P data commits, leaving those
-    partitions' watermarks ahead of the rest; more WAL lands before the
-    resume. The resume reads every file above the global low watermark,
-    yet reports exactly the events above each event's own partition
-    watermark as applied: events it re-reads but had already applied are
-    dropped before the combiner, so they are never counted."""
+    """An epoch commits only 3 of its P partitions and no watermark
+    advance, leaving those partitions' watermarks ahead of the rest (as an
+    epoch without the uniform advance leaves a partition it brought no
+    events); more WAL lands before the resume. The resume reads every file
+    above the global low watermark, yet reports exactly the events above
+    each event's own partition watermark as applied: events it re-reads
+    but had already applied are dropped before the combiner, so they are
+    never counted."""
     from dataxray.state import manifest as M
 
     files = _shard_files(data_dir)
@@ -438,13 +442,14 @@ def test_resume_counts_exactly_the_events_above_each_watermark(
            pages_path=os.path.join(data_dir, "pages.parquet"), cfg=cfg)
 
     real_commit = M.Lake.commit
-    calls = {"n": 0}
 
-    def dying_commit(self, *a, **k):
-        calls["n"] += 1
-        return real_commit(self, *a, **k) if calls["n"] <= 3 else "skipped"
+    def partial_commit(self, staged, run_id, advance_to=None):
+        for m in staged[3:]:
+            for f in m["staged"]:
+                self.fs.delete_file(f)
+        return real_commit(self, staged[:3], run_id) + ["skipped"] * (len(staged) - 3)
 
-    monkeypatch.setattr(M.Lake, "commit", dying_commit)
+    monkeypatch.setattr(M.Lake, "commit", partial_commit)
     replay(_wal(tmp_path, files[:4]), lake, cfg=cfg)
     monkeypatch.setattr(M.Lake, "commit", real_commit)
     wm = Lake(lake).watermarks()

@@ -20,9 +20,8 @@ pytestmark = pytest.mark.parametrize("scheme", ["", "mocks3://"])
 def _commit(lake: Lake, p: int, txn: int, table: pa.Table, mode: str) -> None:
     run = f"t-{p}-{txn}"
     meta = lake.write_staged(run, p, table)
-    status = lake.commit(p, txn, meta["staged"], meta["row_count"],
-                         meta["num_bytes"], run, mode=mode)
-    assert status == "committed"
+    status = lake.commit([{**meta, "txn_hi": txn, "mode": mode}], run)
+    assert status == ["committed"]
     lake.cleanup_staging(run)
 
 

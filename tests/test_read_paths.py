@@ -139,8 +139,8 @@ def test_lookup_in_uncommitted_partitions(executor, tmp_path, scheme):
     lake.init(4, t.schema)
     mine = t.filter(pa.array(parts == 0))
     meta = lake.write_staged("r", 0, mine)
-    assert lake.commit(0, 1, meta["staged"], meta["row_count"],
-                       meta["num_bytes"], "r") == "committed"
+    assert lake.commit([{**meta, "txn_hi": 1, "mode": "rewrite"}], "r") \
+        == ["committed"]
     others = [u for u, p in zip(urls, parts) if p != 0]
     assert len(lake.lookup(others)) == 0
     got = lake.lookup(others[:3] + mine["url"].to_pylist()[:2])

@@ -153,11 +153,34 @@ def test_commit_label_dedup(tmp_path):
                             ("seq", pa.int64()), ("op", pa.string())]))
     t = pa.table({"url": ["a"], "txn_id": [3], "seq": [0]})
     m1 = lake.write_staged("r1", 0, t)
-    assert lake.commit(0, 3, m1["staged"], 1, t.nbytes, "r1") == "committed"
+    assert lake.commit([{**m1, "txn_hi": 3, "mode": "rewrite"}], "r1") \
+        == ["committed"]
     m2 = lake.write_staged("r2", 0, t)
-    assert lake.commit(0, 3, m2["staged"], 1, t.nbytes, "r2") == "skipped"
-    assert lake.commit(0, 2, [], 1, 0, "r3") == "skipped"  # monotonic txn ids
+    assert lake.commit([{**m2, "txn_hi": 3, "mode": "rewrite"}], "r2") \
+        == ["skipped"]
+    assert not os.path.exists(m2["staged"][0])  # the duplicate is dropped
+    m3 = {"partition": 0, "txn_hi": 2, "staged": [], "row_count": 1,
+          "num_bytes": 0, "mode": "rewrite"}
+    assert lake.commit([m3], "r3") == ["skipped"]  # monotonic txn ids
     assert lake.watermarks() == {0: 3}
+    assert len(lake.versions()) == 1  # skipped entries write no snapshot
+
+
+def test_old_format_lake_refused(tmp_path):
+    """A lake of the per-partition manifest format (no "format" field in
+    _meta.json) is refused with a clear error, not misread."""
+    import json
+
+    lake = Lake(str(tmp_path / "l"))
+    lake.init(2, pa.schema([("url", pa.string()), ("txn_id", pa.int64())]))
+    path = os.path.join(lake.root, "_meta.json")
+    with open(path) as f:
+        meta = json.load(f)
+    del meta["format"]
+    with open(path, "w") as f:
+        json.dump(meta, f)
+    with pytest.raises(RuntimeError, match="format 1 .*new lake root"):
+        Lake(lake.root).watermarks()
 
 
 def test_error_budget_enforced(tmp_path):

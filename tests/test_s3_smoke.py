@@ -63,16 +63,15 @@ def test_s3_lake_commit_cycle():
     lake.init(1, table.schema)
     assert lake.exists()
     meta = lake.write_staged("run1", 0, table)
-    status = lake.commit(0, 1, meta["staged"], meta["row_count"],
-                         meta["num_bytes"], "run1")
-    assert status == "committed"
+    status = lake.commit([{**meta, "txn_hi": 1, "mode": "rewrite"}], "run1")
+    assert status == ["committed"]
     lake.cleanup_staging("run1")
     got = lake.read_all()
     assert sorted(got["url"].to_pylist()) == ["a", "b"]
     # replayed label is recognized and skipped (exactly-once on real S3)
     meta2 = lake.write_staged("run2", 0, table)
-    assert lake.commit(0, 1, meta2["staged"], meta2["row_count"],
-                       meta2["num_bytes"], "run2") == "skipped"
+    assert lake.commit([{**meta2, "txn_hi": 1, "mode": "rewrite"}],
+                       "run2") == ["skipped"]
     lake.cleanup_staging("run2")
     # cleanup the smoke prefix
     lake.fs.delete_tree(lake.base)

@@ -175,16 +175,20 @@ def test_vacuum_drops_old_snapshots_keeps_current(data_dir, pages, shards, tmp_p
 
 
 def test_orphan_history_entry_not_trusted(data_dir, pages, shards, tmp_path, scheme):
-    """A crash between the history PUT and the current-manifest PUT leaves an
-    orphan newer version — it must never be served."""
+    """A history copy newer than the current snapshot was never committed
+    (the current snapshot's PUT is the commit point) — it must never be
+    served, even when its txn_hi is the best match of an as-of read."""
     lake, bounds = _build(data_dir, tmp_path, scheme)
     L = Lake(lake)
-    cur = L.manifest(0)
-    orphan = {**cur, "version": cur["version"] + 3, "txn_hi": 10**9,
-              "files": ["part=00000/txn=9999999999/ghost.parquet"]}
-    L.fs.put_json(os.path.join(L._history_dir(0),
-                               f"v-{orphan['version']:06d}.json"), orphan)
-    assert all(v["version"] <= cur["version"] for v in L.versions(0))
+    cur = L.snapshot()
+    ghost = [{**e, "files": ["part=00000/txn=9999999999/ghost.parquet"]}
+             for e in cur["partitions"]]
+    orphan = {**cur, "version": cur["version"] + 3, "txn_hi": bounds[-2],
+              "partitions": ghost}
+    L.fs.put_json(L._history_path(orphan), orphan)
+    assert [v["version"] for v in L.versions()][-1] == cur["version"]
+    _assert_state(L.read_all(as_of_txn=bounds[-2]),
+                  _oracle_prefix(pages, shards, CFG.n_shards - SHARDS_PER_EPOCH))
     _assert_state(L.read_all(as_of_txn=10**9),
                   _oracle_prefix(pages, shards, CFG.n_shards))
 
@@ -330,10 +334,11 @@ def test_incremental_window_stats_equals_full(tmp_path, scheme):
 
 
 def test_manifest_as_of_reads_log_versions(tmp_path, scheme):
-    """manifest_as_of binary-searches the retained versions: on a 130-version
-    history (data, watermark and same-txn compaction commits) it answers
-    every as-of txn exactly like a linear scan over versions(), with
-    O(log versions) JSON reads, and keeps the vacuumed / orphan rules."""
+    """An as-of read finds its snapshot in the version log with one LIST
+    and one object read (plus the current snapshot): on a 130-version
+    history (rewrite, delta and same-txn compaction commits) it answers
+    every as-of txn exactly like a linear scan over versions(), and keeps
+    the vacuumed / orphan rules."""
     import numpy as np
 
     L = Lake(scheme + str(tmp_path / "lake"))
@@ -346,45 +351,50 @@ def test_manifest_as_of_reads_log_versions(tmp_path, scheme):
             mode = "compact"  # same txn_hi as the previous version
         else:
             txn += int(rng.integers(1, 4))
-            mode = ("rewrite", "delta", "watermark")[i % 3]
-        staged = [] if mode == "watermark" else \
-            L.write_staged(f"r{i}", 0, t)["staged"]
-        assert L.commit(0, txn, staged, 1, 1, f"r{i}", mode=mode) == "committed"
+            mode = ("rewrite", "delta")[i % 2]
+        meta = L.write_staged(f"r{i}", 0, t)
+        assert L.commit([{**meta, "txn_hi": txn, "mode": mode}], f"r{i}") \
+            == ["committed"]
 
     def linear(as_of):
-        vs = [v for v in L.versions(0) if v["txn_hi"] <= as_of]
+        vs = [v for v in L.versions() if v["txn_hi"] <= as_of]
         return vs[-1] if vs else None
 
     def counted(as_of):
-        """(manifest_as_of answer, JSON reads it took) on a fresh Lake."""
+        """(snapshot answer, JSON reads, LISTs) on a fresh Lake."""
         lk = Lake(L.root)
-        real, n = lk.fs.read_json, [0]
+        n = {"read": 0, "list": 0}
+        real_read, real_list = lk.fs.read_json, lk.fs.list_names
 
         def read_json(path):
-            n[0] += 1
-            return real(path)
+            n["read"] += not path.endswith("_meta.json")
+            return real_read(path)
 
-        lk.fs.read_json = read_json
-        return lk.manifest_as_of(0, as_of), n[0]
+        def list_names(path):
+            n["list"] += 1
+            return real_list(path)
 
-    n_versions = len(L.versions(0))
-    assert n_versions == 130
-    # _meta.json + current manifest + the search's probes
-    bound = 2 + int(np.ceil(np.log2(n_versions))) + 1
+        lk.fs.read_json, lk.fs.list_names = read_json, list_names
+        return lk.snapshot(as_of), n["read"], n["list"]
+
+    assert len(L.versions()) == 130
+    cur = L.snapshot()
     for as_of in range(-1, txn + 2):
-        got, reads = counted(as_of)
+        got, reads, lists = counted(as_of)
         assert got == linear(as_of), as_of
-        assert reads <= bound, (as_of, reads)
+        assert reads <= 2 and lists <= 1, (as_of, reads, lists)
+        if as_of >= txn:
+            assert (got, reads, lists) == (cur, 1, 0)
 
     # a crash-orphaned newer version is never served
-    cur = L.manifest(0)
-    orphan = {**cur, "version": cur["version"] + 1, "txn_hi": txn + 50}
-    L.fs.put_json(os.path.join(L._history_dir(0),
-                               f"v-{orphan['version']:06d}.json"), orphan)
+    orphan = {**cur, "version": cur["version"] + 1, "txn_hi": txn - 1}
+    L.fs.put_json(L._history_path(orphan), orphan)
+    assert counted(txn - 1)[0] == linear(txn - 1)
     assert counted(txn + 60)[0] == cur
     # vacuumed snapshots raise, retained ones still resolve
     L.vacuum(retain_last=40)
-    oldest = L.versions(0)[0]
+    oldest = L.versions()[0]
+    assert len(L.versions()) == 40
     assert counted(oldest["txn_hi"])[0] == linear(oldest["txn_hi"])
     with pytest.raises(ValueError, match="vacuumed"):
         counted(oldest["txn_hi"] - 1)
@@ -406,18 +416,18 @@ def test_history_flag_read_once_per_lake(tmp_path, scheme):
 
     L.fs.read_json = read_json
     for txn in range(1, 11):
-        L.commit(0, txn, L.write_staged(f"r{txn}", 0, t)["staged"], 1, 1,
-                 f"r{txn}", mode="delta")
+        meta = L.write_staged(f"r{txn}", 0, t)
+        L.commit([{**meta, "txn_hi": txn, "mode": "delta"}], f"r{txn}")
     assert len(meta_reads) <= 1
-    assert len(L.versions(0)) == 10
+    assert len(L.versions()) == 10
 
 
 def test_watermark_commits_make_no_txn_dir(pages, shards, tmp_path, scheme,
                                            monkeypatch):
-    """A watermark commit moves no file, so it makes no txn= directory:
-    after an epoch whose events touch one partition of a history lake (the
-    others advance by watermark commits), every txn= directory holds at
-    least one file."""
+    """An epoch whose events touch one partition of a history lake is ONE
+    commit: the other partitions' watermarks advance inside the same
+    snapshot, with no commit, file or txn= directory of their own — every
+    txn= directory holds at least one file."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
@@ -426,21 +436,23 @@ def test_watermark_commits_make_no_txn_dir(pages, shards, tmp_path, scheme,
     pq.write_table(pages, str(tmp_path / "pages.parquet"))
     replay(None, scheme + base, pages_path=str(tmp_path / "pages.parquet"),
            cfg=cfg)
-    modes = []
+    calls = []
     real = Lake.commit
 
-    def commit(self, *args, mode="rewrite"):
-        modes.append(mode)
-        return real(self, *args, mode=mode)
+    def commit(self, staged, run_id, advance_to=None):
+        calls.append((len(staged), advance_to))
+        return real(self, staged, run_id, advance_to)
 
     monkeypatch.setattr(Lake, "commit", commit)
     ev = shards[0]
     wal = tmp_path / "wal"
     wal.mkdir()
-    pq.write_table(ev.filter(pc.equal(ev["url"], ev["url"][0])),
-                   str(wal / "events-00000.parquet"))
+    one = ev.filter(pc.equal(ev["url"], ev["url"][0]))
+    pq.write_table(one, str(wal / "events-00000.parquet"))
     replay(str(wal), scheme + base, cfg=cfg)
-    assert modes.count("watermark") == N_PARTS - 1
+    hi = pc.max(one["txn_id"]).as_py()
+    assert calls == [(1, hi)]
+    assert set(Lake(scheme + base).watermarks().values()) == {hi}
     txn_dirs = [os.path.join(d, n) for d, names, _ in os.walk(base)
                 for n in names if n.startswith("txn=")]
     assert txn_dirs and all(os.listdir(d) for d in txn_dirs)

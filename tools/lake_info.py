@@ -1,5 +1,5 @@
-"""Lake inspection CLI: partitions, watermarks, delta depth, rows, bytes,
-recent runs — the operational visibility surface (counters/logStatistics
+"""Lake inspection CLI: snapshot, partitions, watermarks, delta depth, rows,
+bytes, recent runs — the operational visibility surface (counters/logStatistics
 analog, JobContainer.logStatistics:538-593).
 
 Usage: python tools/lake_info.py /path/to/lake [--runs N] [--compact]
@@ -16,7 +16,7 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from dataxray.state.manifest import Lake  # noqa: E402
+from dataxray.state.manifest import Lake, entries  # noqa: E402
 
 
 def main() -> None:
@@ -36,28 +36,26 @@ def main() -> None:
         print(f"compacted {n} partitions")
         ray.shutdown()
     meta = lake.meta()
-    wm = lake.watermarks()
+    snap = lake.snapshot()
+    parts = entries(snap)
     print(f"lake: {root}")
     print(f"partitioner: {meta['partitioner']}  partitions: {meta['num_partitions']}"
-          f"  committed: {len(wm)}")
+          f"  committed: {len(parts)}")
     if meta.get("generation"):
         epochs = meta.get("partition_epochs", [])
         print(f"generation: {meta['generation']}  evolution epochs: "
               + "; ".join(f"g{e['generation']}: P {e.get('prev_num_partitions')}"
                           f"->{e['num_partitions']} @txn {e['boundary_txn']}"
                           for e in epochs))
+    if snap is not None:
+        print(f"snapshot: version {snap['version']}  high-water txn "
+              f"{snap['txn_hi']}  run {snap['run_id']}")
     if meta.get("history"):
-        print("history: retained versions per partition (time travel on)")
+        print(f"history: {len(lake._history())} retained snapshots "
+              "(time travel on)")
     print(f"event schema: {lake.event_schema().names}")
-    total_rows = total_bytes = total_files = total_deltas = 0
-    lo = min(wm.values()) if wm else None
-    hi = max(wm.values()) if wm else None
-    for p in sorted(wm):
-        m = lake.manifest(p)
-        total_rows += m.get("row_count", 0)
-        total_bytes += m.get("num_bytes", 0)
-        total_files += len(m["files"])
-        total_deltas += m.get("n_deltas", 0)
+    wm = [e["txn_hi"] for e in parts.values()]
+    lo, hi = min(wm, default=None), max(wm, default=None)
     print(f"txn watermark: low={lo} high={hi}  (lag spread {0 if lo is None else hi - lo})")
     if "--lag" in sys.argv:
         from dataxray.pipelines.tail import lag as wal_lag
@@ -69,8 +67,10 @@ def main() -> None:
               f"pending_files={r.pending_files} "
               f"pending_rows<=~{r.pending_rows_hint:,} "
               f"partitions_skewed={r.partitions_skewed}")
-    print(f"files: {total_files}  delta files: {total_deltas}  "
-          f"last-commit rows: {total_rows:,}  bytes: {total_bytes:,}")
+    print(f"files: {sum(len(e['files']) for e in parts.values())}  "
+          f"delta files: {sum(e['n_deltas'] for e in parts.values())}  "
+          f"last-commit rows: {sum(e['row_count'] for e in parts.values()):,}  "
+          f"bytes: {sum(e['num_bytes'] for e in parts.values()):,}")
     runs_dir = os.path.join(lake.base, "_runs")
     if lake.fs.isdir(runs_dir):
         runs = sorted(lake.fs.list_names(runs_dir),
