@@ -26,7 +26,7 @@ import pyarrow.compute as pc
 
 from ..functions.joins import check_copartitioned
 from ..state.manifest import (Lake, _read_columns, _read_job, entries,
-                              run_partition_jobs)
+                              one_layout, run_partition_jobs)
 
 
 def _empty_stats(group_col: str) -> pa.Table:
@@ -416,10 +416,13 @@ def incremental_join_stats(lake_a: Lake, lake_b: Lake,
                                   text_a=text_a, text_b=text_b)
     # per side: the current files of every committed partition, and the
     # files as of ``since`` of each partition whose last data write came
-    # after it (its txn_hi moves with every epoch's watermark advance)
+    # after it (its txn_hi moves with every epoch's watermark advance);
+    # both snapshots in one layout, or the bucket ids would not match
     files = []
     for lake, since in ((lake_a, since_a), (lake_b, since_b)):
-        cur, old = lake.snapshot(), lake._snapshot_files(since)
+        cur, old = lake.snapshot(), lake.snapshot(since)
+        one_layout(lake, old, cur)
+        old = lake._files(old)
         files.append((lake._files(cur), {
             p: old.get(p, []) for p, e in entries(cur).items()
             if e["data_txn"] > since}))

@@ -52,10 +52,13 @@ def repartition_lake(src_root: str, dest_root: str, new_num_partitions: int) -> 
 
 def sweep_staging(lake_root: str, max_age_sec: float = 3600.0) -> int:
     """Remove orphaned staging dirs left by crashed runs (their commits never
-    landed, so the files are dead weight), and with them the data files such
-    a run had already finalized that no snapshot references
-    (Lake.remove_orphans). Age-gated so a concurrently running replay's
-    staging and files survive. Returns the staging dirs removed."""
+    finished, so the files are dead weight), and with them the data files
+    such a run finalized or superseded that no snapshot references
+    (Lake.remove_orphans). A run's staging is the last thing its commit
+    removes, so every crash mid-commit leaves one, on an object store too
+    (Lake.commit keeps the staged objects until then). Age-gated so a
+    concurrently running replay's staging and files survive. Returns the
+    staging dirs removed."""
     from ..state import lakefs
 
     fs, base = lakefs.resolve(lake_root)
@@ -65,10 +68,9 @@ def sweep_staging(lake_root: str, max_age_sec: float = 3600.0) -> int:
     for name in fs.list_names(staging):
         d = os.path.join(staging, name)
         try:
-            m = fs.mtime(d)
-            # unknown mtime (e.g. virtual S3 directory prefixes report none)
-            # must NOT read as "infinitely old" — that would sweep a
-            # concurrently running replay's live staging. Skip instead.
+            m = fs.mtime(d)  # an S3 prefix: its newest object's
+            # unknown mtime must NOT read as "infinitely old" — that would
+            # sweep a concurrently running replay's live staging. Skip.
             if m > 0 and now - m > max_age_sec:
                 fs.delete_tree(d)
                 removed += 1

@@ -99,14 +99,15 @@ def _tune_read_parallelism() -> None:
 
 
 def _merge_tables(p: int, tables: list[pa.Table], lake_root: str, run_id: str,
-                  wm: dict, target: pa.Schema, sink_mode: str = "rewrite",
-                  compact_threshold: int = 8, monitor=None,
-                  parts: dict | None = None) -> dict:
+                  wm: dict, parts: dict, target: pa.Schema,
+                  sink_mode: str = "rewrite", compact_threshold: int = 8,
+                  monitor=None) -> dict:
     """Per-partition final merge, one exchange merge call each (a Ray task,
     or in the driver): stage new state from the partition's events (those
     at or below its watermark ``wm[p]`` were already dropped by
     _AssignCombineFuse), return small commit metadata. ``parts`` holds the
-    current snapshot's entries by partition (the driver read it once).
+    current snapshot's entries by partition (the driver read it once; a
+    partition without one has no state yet).
 
     sink_mode="rewrite": fold in current state, produce the resolved
     partition (one base file). sink_mode="delta": write ONLY this epoch's
@@ -133,7 +134,7 @@ def _merge_tables(p: int, tables: list[pa.Table], lake_root: str, run_id: str,
                 "n_events": 0}
     part_lake = Lake(lake_root)
     txn_hi = max(watermark, pc.max(events["txn_id"]).as_py())
-    entry = (parts or {}).get(p)
+    entry = parts.get(p)
     use_delta = (
         sink_mode == "delta"
         and entry is not None  # first write of a partition is its base
@@ -406,11 +407,10 @@ def replay(
 
         watchdog = Watchdog(cfg.stall_timeout_sec)
         watchdog.start()
-    merge_kwargs = dict(lake_root=lake_root, run_id=run_id, wm=wm, target=tgt,
-                        sink_mode=cfg.sink_mode,
+    merge_kwargs = dict(lake_root=lake_root, run_id=run_id, wm=wm, parts=parts,
+                        target=tgt, sink_mode=cfg.sink_mode,
                         compact_threshold=cfg.compact_threshold,
-                        monitor=watchdog.monitor if watchdog else None,
-                        parts=parts)
+                        monitor=watchdog.monitor if watchdog else None)
 
     # assign + combine run INSIDE the exchange's split step (no separate
     # map stage, one less plasma round-trip per block); in the driver the

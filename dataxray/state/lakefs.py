@@ -14,7 +14,7 @@ semantic families:
   rename.
 * ``ObjectLakeFS`` — put-semantics over any ``pyarrow.fs.FileSystem``:
   ``finalize`` is server-side copy + delete of the staged object (never
-  rename), snapshot swap is a single-object PUT (atomic on real object
+  rename; a commit defers the delete to its staging cleanup), snapshot swap is a single-object PUT (atomic on real object
   stores: readers see the old or the new snapshot, never a torn one).
   Directories are virtual (``makedirs`` only materializes them where the
   underlying fs needs it).
@@ -32,7 +32,10 @@ Root scheme dispatch (``resolve``):
     mocks3:///path         → ObjectLakeFS over pyarrow LocalFileSystem —
                              the in-sandbox object-store stand-in: same
                              code path as S3, local bytes (no rename ever
-                             issued; enforced by construction)
+                             issued; enforced by construction), and S3's
+                             namespace: a directory is a prefix, with no
+                             mtime, that exists while an object lies
+                             under it (MockS3Namespace)
     s3://bucket/prefix     → ObjectLakeFS over pyarrow S3FileSystem
                              (production; needs credentials/network)
 """
@@ -46,6 +49,7 @@ import uuid
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+from pyarrow.fs import FileInfo, FileSystemHandler, FileType
 
 
 def _read_file(path: str, columns: list[str] | None, filesystem) -> pa.Table:
@@ -124,7 +128,9 @@ class LocalLakeFS:
     def read_parquet(self, path: str, columns: list[str] | None = None) -> pa.Table:
         return _read_file(path, columns, None)
 
-    def finalize(self, src: str, dest: str) -> None:
+    def finalize(self, src: str, dest: str, keep_src: bool = False) -> None:
+        """Atomic rename. ``keep_src`` (see ObjectLakeFS.finalize) asks
+        nothing more here: the source's directory stays behind anyway."""
         os.replace(src, dest)
 
     def delete_file(self, path: str) -> None:
@@ -180,10 +186,18 @@ class ObjectLakeFS:
         return [os.path.basename(i.path.rstrip("/")) for i in infos]
 
     def mtime(self, path: str) -> float:
+        """Modification time, 0.0 when unknown. A directory is a prefix
+        without one of its own: it takes its newest object's."""
+        from pyarrow.fs import FileSelector
+
         info = self._info(path)
-        if info is None or info.mtime is None:
+        if info is None:
             return 0.0
-        return info.mtime.timestamp()
+        infos = [info]
+        if info.mtime is None and info.type == FileType.Directory:
+            infos = self.pafs.get_file_info(FileSelector(path, recursive=True))
+        return max((i.mtime.timestamp() for i in infos if i.mtime is not None),
+                   default=0.0)
 
     def size(self, path: str) -> int:
         info = self._info(path)
@@ -209,10 +223,15 @@ class ObjectLakeFS:
     def read_parquet(self, path: str, columns: list[str] | None = None) -> pa.Table:
         return _read_file(path, columns, self.pafs)
 
-    def finalize(self, src: str, dest: str) -> None:
-        """Staged object → final key: server-side copy + delete. NO rename."""
+    def finalize(self, src: str, dest: str, keep_src: bool = False) -> None:
+        """Staged object → final key: server-side copy + delete. NO rename.
+        ``keep_src`` leaves the delete to the caller's later delete_tree of
+        the staging prefix: until then the prefix stays visible (a prefix
+        without objects does not exist), so a crash after the last copy
+        still leaves a trace for sweep_staging."""
         self.pafs.copy_file(src, dest)
-        self.pafs.delete_file(src)
+        if not keep_src:
+            self.pafs.delete_file(src)
 
     def delete_file(self, path: str) -> None:
         if self.exists(path):
@@ -223,6 +242,85 @@ class ObjectLakeFS:
             self.pafs.delete_dir(path)
         except (FileNotFoundError, OSError):
             pass
+
+
+class MockS3Namespace(FileSystemHandler):
+    """The ``mocks3://`` filesystem: local files under S3's namespace rules.
+    A directory is a prefix: it has no mtime, and it exists (and is
+    listed) only while some object lies under it — deleting a prefix's
+    last object makes it vanish, as on S3, even though the local directory
+    stays; writing an object needs no directory first. Everything else is
+    the local filesystem's."""
+
+    def __init__(self):
+        from pyarrow.fs import LocalFileSystem
+
+        self.fs = LocalFileSystem()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, MockS3Namespace)
+
+    def __reduce__(self):
+        return MockS3Namespace, ()
+
+    def _prefix(self, info: FileInfo) -> FileInfo:
+        if info.type != FileType.Directory:
+            return info
+        for _, _, names in os.walk(info.path):
+            if names:
+                return FileInfo(info.path, FileType.Directory)
+        return FileInfo(info.path, FileType.NotFound)
+
+    def get_type_name(self) -> str:
+        return "mocks3"
+
+    def equals(self, other) -> bool:
+        return self == other.handler if hasattr(other, "handler") else False
+
+    def normalize_path(self, path: str) -> str:
+        return self.fs.normalize_path(path)
+
+    def get_file_info(self, paths: list[str]) -> list[FileInfo]:
+        return [self._prefix(i) for i in self.fs.get_file_info(paths)]
+
+    def get_file_info_selector(self, selector) -> list[FileInfo]:
+        infos = [self._prefix(i) for i in self.fs.get_file_info(selector)]
+        return [i for i in infos if i.type != FileType.NotFound]
+
+    def create_dir(self, path: str, recursive: bool) -> None:
+        self.fs.create_dir(path, recursive=recursive)
+
+    def delete_dir(self, path: str) -> None:
+        self.fs.delete_dir(path)
+
+    def delete_dir_contents(self, path: str, missing_dir_ok: bool = False) -> None:
+        self.fs.delete_dir_contents(path, missing_dir_ok=missing_dir_ok)
+
+    def delete_root_dir_contents(self) -> None:
+        raise OSError("mocks3: refusing to delete the root's contents")
+
+    def delete_file(self, path: str) -> None:
+        self.fs.delete_file(path)
+
+    def move(self, src: str, dest: str) -> None:
+        raise OSError("mocks3: an object store has no rename")
+
+    def copy_file(self, src: str, dest: str) -> None:
+        self.fs.create_dir(os.path.dirname(dest), recursive=True)
+        self.fs.copy_file(src, dest)
+
+    def open_input_stream(self, path: str):
+        return self.fs.open_input_stream(path)
+
+    def open_input_file(self, path: str):
+        return self.fs.open_input_file(path)
+
+    def open_output_stream(self, path: str, metadata=None):
+        self.fs.create_dir(os.path.dirname(path), recursive=True)
+        return self.fs.open_output_stream(path, metadata=metadata)
+
+    def open_append_stream(self, path: str, metadata=None):
+        return self.fs.open_append_stream(path, metadata=metadata)
 
 
 def s3_options() -> dict:
@@ -248,10 +346,11 @@ def resolve(root: str) -> tuple[LocalLakeFS | ObjectLakeFS, str]:
     """Parse a lake root into (backend, base_path). Workers reconstruct the
     backend from the same root string (Lake(root) inside merge tasks)."""
     if root.startswith("mocks3://"):
-        from pyarrow.fs import LocalFileSystem
+        from pyarrow.fs import PyFileSystem
 
         base = root[len("mocks3://"):]
-        return ObjectLakeFS(LocalFileSystem(), base, scheme="mocks3"), base
+        return ObjectLakeFS(PyFileSystem(MockS3Namespace()), base,
+                            scheme="mocks3"), base
     if root.startswith("s3://"):
         from pyarrow.fs import S3FileSystem
 

@@ -26,8 +26,12 @@ The label is ``(partition, txn_hi)`` with **monotonic txn ids**: an entry
 whose txn_hi is at or below its partition's in the current snapshot is a
 recognized replay — skipped, its staged files deleted — so re-running a
 committed batch changes nothing. A crash before the snapshot PUT leaves the
-previous snapshot current; the files it had already finalized are orphans
-that the next sweep_staging removes (pipelines/maintenance.py).
+previous snapshot current; the files it had already finalized are orphans,
+as are the superseded files of a crash before the GC. Either crash leaves
+the run's staging directory, which is removed last (on an object store the
+staged objects are copied at finalize and deleted only then, so the prefix
+outlives every earlier step); the next sweep_staging removes it and, with
+it, every file no retained snapshot references (pipelines/maintenance.py).
 
 Layout:
     lake/
@@ -50,8 +54,9 @@ txn_hi of its last data write: which partitions changed after a txn).
 Storage is abstracted behind ``state.lakefs``: a plain path commits via
 atomic rename (local/HDFS semantics); a ``mocks3://`` / ``s3://`` root runs
 the SAME protocol with object-store semantics only — staged-object PUT,
-server-side copy + delete to finalize, single-object snapshot PUT as the
-commit point, no rename anywhere (lakefs.ObjectLakeFS).
+server-side copy to finalize (the staged object deleted at cleanup),
+single-object snapshot PUT as the commit point, no rename anywhere
+(lakefs.ObjectLakeFS).
 """
 
 from __future__ import annotations
@@ -87,6 +92,18 @@ def entries(snap: dict | None) -> dict[int, dict]:
     if snap is None:
         return {}
     return {p: e for p, e in enumerate(snap["partitions"]) if e is not None}
+
+
+def one_layout(lake: Lake, old: dict | None, new: dict | None) -> None:
+    """Raise unless snapshots ``old`` and ``new`` bucket urls alike (the
+    same generation; no snapshot is empty in any layout): a partition's
+    diff between them is meaningless across a partition evolution."""
+    if old is not None and new is not None \
+            and old["generation"] != new["generation"]:
+        raise ValueError(
+            "partition_changes cannot diff across a partition-evolution "
+            "boundary (partition ids change meaning); use Lake.changes()"
+            f" (epochs: {lake.partition_epochs()})")
 
 
 def _schema_to_b64(schema: pa.Schema) -> str:
@@ -616,7 +633,9 @@ class Lake:
             files = []
             for s in m["staged"]:
                 dest = os.path.join(final_dir, os.path.basename(s))
-                self.fs.finalize(s, dest)  # rename (local) / copy+delete (object)
+                # rename (local) / copy (object; the staged copy goes
+                # with the run's staging at cleanup: the crash trace)
+                self.fs.finalize(s, dest, keep_src=True)
                 failpoint("finalize")
                 files.append(os.path.relpath(dest, self.base))
             append = mode == "delta" and old is not None
@@ -701,10 +720,12 @@ class Lake:
 
     def remove_orphans(self, max_age_sec: float = 0.0) -> int:
         """Delete the data files that no retained snapshot references — the
-        finalized files of a commit that crashed before its snapshot PUT —
-        once they are older than ``max_age_sec``. Lists every data
-        directory, so sweep_staging calls it only when it removes a crashed
-        run's staging. Returns the files deleted."""
+        finalized files of a commit that crashed before its snapshot PUT,
+        or the superseded files of one that crashed before its GC — once
+        they are older than ``max_age_sec``. Lists every data directory and
+        reads every retained snapshot, so sweep_staging calls it only when
+        it removes a crashed run's staging (which every such crash leaves,
+        cleanup being a commit's last step). Returns the files deleted."""
         found = {os.path.join(top, txn, name)
                  for top in self.fs.list_names(self.base) if "part=" in top
                  for txn in self.fs.list_names(self._p(top))
@@ -867,14 +888,13 @@ class Lake:
                 self.fs.makedirs(final_dir)
                 for sf in s["staged"]:
                     dest = os.path.join(final_dir, os.path.basename(sf))
-                    self.fs.finalize(sf, dest)
+                    self.fs.finalize(sf, dest, keep_src=True)
                     files.append(os.path.relpath(dest, self.base))
             parts.append({"files": files, "n_deltas": 0, "txn_hi": boundary,
                           "data_txn": boundary,
                           "row_count": s["row_count"] if s else 0,
                           "num_bytes": s["num_bytes"] if s else 0,
                           "mode": "evolve"})
-        self.cleanup_staging(run_id)
         snap = {"version": old["version"] + 1 if old is not None else 0,
                 "generation": new_gen, "txn_hi": boundary, "run_id": run_id,
                 "partitions": parts}
@@ -898,6 +918,7 @@ class Lake:
         if not meta.get("history"):
             for p in old_files:
                 self.fs.delete_tree(self._p(self._part_prefix(p, old_gen)))
+        self.cleanup_staging(run_id)
         return {"generation": new_gen, "num_partitions": new_num_partitions,
                 "boundary_txn": boundary,
                 "rows": sum(e["row_count"] for e in parts)}
@@ -962,30 +983,24 @@ class Lake:
     def partition_changes(self, p: int, since_txn: int,
                           until_txn: int | None = None,
                           pre_images: bool = False,
-                          gen: int | None = None,
                           files: tuple | None = None) -> pa.Table:
         """CDF for one partition: diff of the resolved snapshots as of
         ``since_txn`` and ``until_txn`` (None = current). ``_change_type`` ∈
         {insert, update, delete}; see stages.merge.diff_snapshots. since_txn
         < the first commit diffs against the empty snapshot (all inserts).
-        Both snapshots must live in the SAME generation ``gen`` (partition
-        ids change meaning across an evolution) — ``changes()`` routes
+        Both snapshots must share one layout (one_layout: partition ids
+        change meaning across an evolution) — ``changes()`` routes
         cross-generation windows through the re-hash path instead.
         ``files`` = (old snapshot's files, new snapshot's files) skips the
-        snapshot lookups (and that check) when the caller already resolved
-        them in one layout."""
+        snapshot reads, for callers that already read both snapshots and
+        checked them with one_layout."""
         from ..stages.merge import diff_snapshots
 
         if files is None:
-            gen = self.generation() if gen is None else gen
-            if self._gen_for_txn(since_txn) != gen or (
-                    until_txn is not None and self._gen_for_txn(until_txn) != gen):
-                raise ValueError(
-                    "partition_changes cannot diff across a partition-evolution "
-                    "boundary (partition ids change meaning); use Lake.changes()"
-                    f" (epochs: {self.partition_epochs()})")
-            files = (self.partition_files(p, since_txn),
-                     self.partition_files(p, until_txn))
+            old_snap, new_snap = self.snapshot(since_txn), self.snapshot(until_txn)
+            one_layout(self, old_snap, new_snap)
+            files = (self._files(old_snap).get(p, []),
+                     self._files(new_snap).get(p, []))
         old = self.resolve(p, files=files[0])
         new = self.resolve(p, files=files[1])
         return diff_snapshots(old, new, pre_images=pre_images)
@@ -1003,7 +1018,7 @@ class Lake:
         if old_snap is None or new_snap is None \
                 or old_snap["generation"] == new_snap["generation"]:
             return run(Lake.partition_changes,
-                       [(self, p, since_txn, until_txn, pre_images, None,
+                       [(self, p, since_txn, until_txn, pre_images,
                          (old.get(p, []), new.get(p, [])))
                         for p in sorted(old.keys() | new.keys())
                         if old.get(p) or new.get(p)], local)

@@ -125,10 +125,12 @@ def test_partial_commit_then_resume_matches_oracle(data_dir, tmp_path,
 
 
 # (failpoint, its hit to crash at, history lake): before the snapshot PUT
-# the epoch is lost and redone; from it on the epoch is durable
+# the epoch is lost and redone; from it on the epoch is durable. The epoch
+# writes all 8 partitions, so finalize hit 8 is its last staged file: on an
+# object store only the kept staged objects mark that crash.
 MATRIX = [("staged", 2, True), ("finalize", 1, False), ("finalize", 3, True),
-          ("snapshot", 1, False), ("snapshot", 1, True), ("history", 1, True),
-          ("gc", 1, False), ("cleanup", 1, True)]
+          ("finalize", 8, False), ("snapshot", 1, False), ("snapshot", 1, True),
+          ("history", 1, True), ("gc", 1, False), ("cleanup", 1, True)]
 DURABLE = {"snapshot", "history", "gc", "cleanup"}
 
 

@@ -144,6 +144,25 @@ def test_incremental_join_diffs_only_written_buckets(tmp_path, scheme,
     assert inc.to_pydict() == joined_group_stats(la, lb).to_pydict()
 
 
+def test_incremental_join_refuses_window_across_evolution(tmp_path, scheme,
+                                                         executor):
+    """A base taken before both lakes evolved is in the old bucketing: its
+    bucket p is not the new bucket p, so a refresh across the boundary
+    must be refused, not diffed bucket by bucket into a wrong aggregate.
+    After the boundary the refresh works again."""
+    la, thr_a = _two_epoch_lake(tmp_path, scheme, "ea", seed=5)
+    lb, thr_b = _two_epoch_lake(tmp_path, scheme, "eb", seed=6)
+    base = joined_group_stats(la, lb, as_of_a=thr_a, as_of_b=thr_b)
+    la.evolve_partitions(4)
+    lb.evolve_partitions(4)
+    with pytest.raises(ValueError, match="partition-evolution boundary"):
+        incremental_join_stats(la, lb, since_a=thr_a, since_b=thr_b,
+                               base=base)
+    since = [lk.snapshot()["txn_hi"] for lk in (la, lb)]
+    inc = incremental_join_stats(la, lb, since_a=since[0], since_b=since[1])
+    assert inc.to_pydict() == joined_group_stats(la, lb).to_pydict()
+
+
 def test_join_view_refuses_mismatched_bucketing(tmp_path, scheme, executor):
     """Co-bucketing is load-bearing: different partition counts must be
     refused (a silent mis-bucketed join would drop matches)."""

@@ -55,6 +55,44 @@ def test_finalize_moves_staged_object(tmp_path):
         assert fs.read_parquet(dest).equals(t)
 
 
+def test_finalize_keep_src_leaves_the_staging_prefix(tmp_path):
+    """A commit finalizes with keep_src: on the object store the staged
+    object (so its staging prefix) stays until the staging is deleted —
+    the trace a crash after the last finalize leaves for sweep_staging."""
+    for fs, base in backends(tmp_path):
+        staging = os.path.join(base, "_staging", "run")
+        fs.makedirs(staging)
+        src = os.path.join(staging, "d.parquet")
+        fs.write_parquet(pa.table({"x": [9]}), src, compression="zstd")
+        dest = os.path.join(base, "final", "d.parquet")
+        fs.makedirs(os.path.dirname(dest))
+        fs.finalize(src, dest, keep_src=True)
+        assert fs.exists(dest) and fs.exists(staging)
+        assert fs.exists(src) == isinstance(fs, lakefs.ObjectLakeFS)
+        fs.delete_tree(staging)
+        assert not fs.exists(staging) and fs.exists(dest)
+
+
+def test_mocks3_prefixes_are_virtual(tmp_path):
+    """mocks3 directories behave as S3 prefixes: one exists only while an
+    object lies under it, and its mtime is its newest object's."""
+    fs, base = lakefs.resolve(f"mocks3://{tmp_path / 'o'}")
+    d = os.path.join(base, "_staging", "run")
+    fs.makedirs(d)
+    assert not fs.exists(d) and fs.list_names(os.path.dirname(d)) == []
+    fs.put_json(os.path.join(d, "a", "x.json"), {})
+    fs.put_json(os.path.join(d, "y.json"), {})
+    os.utime(os.path.join(d, "a", "x.json"), (1000.0, 1000.0))
+    os.utime(os.path.join(d, "y.json"), (2000.0, 2000.0))
+    assert fs.pafs.get_file_info(d).mtime is None
+    assert fs.mtime(d) == 2000.0 and fs.mtime(os.path.join(d, "a")) == 1000.0
+    assert fs.list_names(os.path.dirname(d)) == ["run"]
+    fs.delete_file(os.path.join(d, "y.json"))
+    fs.delete_file(os.path.join(d, "a", "x.json"))
+    assert not fs.exists(d) and fs.mtime(d) == 0.0
+    assert fs.list_names(os.path.dirname(d)) == []
+
+
 def test_list_and_delete_tree(tmp_path):
     for fs, base in backends(tmp_path):
         d = os.path.join(base, "dir")
