@@ -63,7 +63,7 @@ from ..stages.decode import Validate
 from ..stages.merge import BatchCombiner, lww_reduce, merge_partition
 from ..stages.partition import AssignPartition
 from ..state.checkpoint import RunReport, global_low_watermark
-from ..state.manifest import Lake, entries, in_driver
+from ..state.manifest import Lake, entries, in_driver, read_once
 
 THROTTLE_BATCH = 8192  # rows per RateLimiter call
 
@@ -101,7 +101,7 @@ def _tune_read_parallelism() -> None:
 def _merge_tables(p: int, tables: list[pa.Table], lake_root: str, run_id: str,
                   wm: dict, parts: dict, target: pa.Schema,
                   sink_mode: str = "rewrite", compact_threshold: int = 8,
-                  monitor=None) -> dict:
+                  monitor=None, shared: list | None = None) -> dict:
     """Per-partition final merge, one exchange merge call each (a Ray task,
     or in the driver): stage new state from the partition's events (those
     at or below its watermark ``wm[p]`` were already dropped by
@@ -114,7 +114,12 @@ def _merge_tables(p: int, tables: list[pa.Table], lake_root: str, run_id: str,
     LWW winners (tombstones included) as an appended delta — the state is
     never read, so an epoch touching k rows costs O(k), not O(partition);
     when the partition accumulates compact_threshold deltas the task
-    compacts (full merge + rewrite) instead."""
+    compacts (full merge + rewrite) instead.
+
+    ``shared`` (the driver's merges only): a delta is not written here but
+    appended to it as (metadata, table); the replay then stages all of the
+    epoch's deltas as one L0 file (Lake.write_staged_shared) and fills in
+    the metadata's ``staged``. A merge task writes its own file."""
     from ..stages.merge import strip_counts
 
     if monitor is not None:
@@ -145,15 +150,19 @@ def _merge_tables(p: int, tables: list[pa.Table], lake_root: str, run_id: str,
         mode = "delta"
     else:
         state = part_lake.read_state(
-            p, files=[part_lake._p(f) for f in entry["files"]] if entry else [])
+            p, files=[part_lake._ref(f) for f in entry["files"]] if entry else [])
         merged = merge_partition(events, state, target, watermark)
         mode = "rewrite"
-    meta = part_lake.write_staged(run_id, p, merged)
+    out = {"partition": p, "txn_hi": txn_hi, "row_count": len(merged),
+           "num_bytes": merged.nbytes, "noop": False, "mode": mode,
+           "n_events": n_events}
+    if mode == "delta" and shared is not None:
+        shared.append((out, merged))
+    else:
+        out.update(part_lake.write_staged(run_id, p, merged))
     if monitor is not None:
         monitor.beat.remote(p, "done")
-    return {"partition": p, "txn_hi": txn_hi, "staged": meta["staged"],
-            "row_count": meta["row_count"], "num_bytes": meta["num_bytes"],
-            "noop": False, "mode": mode, "n_events": n_events}
+    return out
 
 
 class _AssignCombineFuse:
@@ -319,30 +328,35 @@ def replay(
     dirty_dir = os.path.join(cfg.dirty_dir, run_id) if cfg.dirty_dir else None
 
     bootstrap = not lake.exists()
+    # an epoch reads _meta.json once and the snapshot once: the lake's
+    # layout cache keeps the meta, and the commit takes the snapshot
+    meta, snap = None, None
     if not bootstrap:
-        lake.validate_partitioner()
+        meta = lake._layout = lake.meta()
+        lake.validate_partitioner(meta)
         from .maintenance import sweep_staging
 
         # GC staging orphans from crashed runs. 24h grace: the lake is
         # single-writer by design, but a generous window also protects any
         # long compaction that does run concurrently by mistake
         sweep_staging(lake.root, max_age_sec=24 * 3600)
-        if lake.num_partitions() != cfg.num_partitions:
+        if meta["num_partitions"] != cfg.num_partitions:
             raise RuntimeError(
-                f"lake has {lake.num_partitions()} partitions, config asks "
+                f"lake has {meta['num_partitions']} partitions, config asks "
                 f"{cfg.num_partitions}; re-bucket the live lake first with "
                 "Lake.evolve_partitions(new_p) (recorded epoch "
                 "boundary), or rewrite offline via maintenance.repartition_lake"
             )
+        snap = lake.snapshot()
 
-    parts = entries(lake.snapshot()) if not bootstrap else {}
+    parts = entries(snap)
     watermarks = {p: e["txn_hi"] for p, e in parts.items()}
     low = global_low_watermark(watermarks, cfg.num_partitions) if not bootstrap else 0
     if not bootstrap and pages_path is None \
             and len(watermarks) < cfg.num_partitions:
         # crash-safe bootstrap resume: if a prior run died before every
         # partition committed, fold the recorded base pages back in
-        pages_path = lake.bootstrap_pages()
+        pages_path = meta.get("bootstrap_pages")
     include_pages = pages_path is not None and (
         bootstrap or len(watermarks) < cfg.num_partitions
     )
@@ -391,11 +405,12 @@ def replay(
         lake.init(cfg.num_partitions, target, pages_path=pages_path,
                   history=cfg.history)
     else:
-        target = unify([lake.event_schema()] + schemas) if schemas else None
+        schema = lake.event_schema(meta)
+        target = unify([schema] + schemas) if schemas else None
         if target is None or not streams:
             return report.finish(started)  # fully caught up
-        if not target.equals(lake.event_schema()):
-            lake.evolve_schema(target)  # additive promotion, safe pre-commit
+        if not target.equals(schema):
+            lake.evolve_schema(target, meta)  # additive, safe pre-commit
 
     events = (_event_tables if local else _event_dataset)(
         streams, target, dirty_dir, cfg)
@@ -407,10 +422,14 @@ def replay(
 
         watchdog = Watchdog(cfg.stall_timeout_sec)
         watchdog.start()
+    # in the driver the epoch's deltas go to one shared L0 file; merge
+    # tasks write their own partition's file
+    shared = [] if local else None
     merge_kwargs = dict(lake_root=lake_root, run_id=run_id, wm=wm, parts=parts,
                         target=tgt, sink_mode=cfg.sink_mode,
                         compact_threshold=cfg.compact_threshold,
-                        monitor=watchdog.monitor if watchdog else None)
+                        monitor=watchdog.monitor if watchdog else None,
+                        shared=shared)
 
     # assign + combine run INSIDE the exchange's split step (no separate
     # map stage, one less plasma round-trip per block); in the driver the
@@ -419,9 +438,14 @@ def replay(
     from ..stages.exchange import direct_exchange
 
     fuse = _AssignCombineFuse(cfg.num_partitions, wm)
-    meta_rows = direct_exchange(events, cfg.num_partitions, _merge_tables,
-                                merge_kwargs, fuse_fn=fuse,
-                                fold_fn=fuse.combine)
+    with read_once():  # inline compactions read each L0 file once
+        meta_rows = direct_exchange(events, cfg.num_partitions, _merge_tables,
+                                    merge_kwargs, fuse_fn=fuse,
+                                    fold_fn=fuse.combine)
+    if shared:
+        for (m, _), staged in zip(shared, lake.write_staged_shared(
+                run_id, [(m["partition"], t) for m, t in shared])):
+            m.update(staged)
 
     if watchdog is not None:
         watchdog.stop()
@@ -452,7 +476,8 @@ def replay(
     staged = [m for m in meta_rows if not m["noop"]]
     if staged or advance_to > low:
         status = lake.commit(staged, run_id,
-                             advance_to if advance_to > low else None)
+                             advance_to if advance_to > low else None,
+                             base=snap)
         for m, st in zip(staged, status):
             if st == "committed":
                 report.partitions_committed += 1

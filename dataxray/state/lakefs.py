@@ -52,17 +52,36 @@ import pyarrow.parquet as pq
 from pyarrow.fs import FileInfo, FileSystemHandler, FileType
 
 
-def _read_file(path: str, columns: list[str] | None, filesystem) -> pa.Table:
+def _read_file(path: str, columns: list[str] | None, filesystem,
+               row_groups=None) -> pa.Table:
     """One Parquet file, opened as a ``pq.ParquetFile`` and closed after the
-    read: ``columns`` (all when None), skipping the ones the file lacks (an
-    additively evolved lake's older files predate its newer columns). No
-    dataset discovery or expression planning, which ``pq.read_table`` adds
-    per call."""
+    read: ``columns`` (all when None) of ``row_groups`` (all when None),
+    skipping the columns the file lacks (an additively evolved lake's older
+    files predate its newer columns). No dataset discovery or expression
+    planning, which ``pq.read_table`` adds per call."""
     with pq.ParquetFile(path, filesystem=filesystem) as f:
         if columns is not None:
             have = set(f.schema_arrow.names)
             columns = [c for c in columns if c in have]
+        if row_groups is not None:
+            return f.read_row_groups(row_groups, columns=columns)
         return f.read(columns=columns)
+
+
+def _write_file(table: pa.Table, path: str, compression: str, filesystem,
+                row_groups: list[int] | None) -> None:
+    """``table`` as one Parquet file: with ``row_groups`` (row counts that
+    sum to its length) one row group of each size, in order."""
+    if row_groups is None:
+        pq.write_table(table, path, filesystem=filesystem,
+                       compression=compression)
+        return
+    with pq.ParquetWriter(path, table.schema, filesystem=filesystem,
+                          compression=compression) as w:
+        off = 0
+        for n in row_groups:
+            w.write_table(table.slice(off, n), row_group_size=n)
+            off += n
 
 
 def footer_bytes(fs, paths: list[str], columns: list[str]) -> int:
@@ -122,11 +141,13 @@ class LocalLakeFS:
             os.fsync(f.fileno())
         os.replace(tmp, path)
 
-    def write_parquet(self, table: pa.Table, path: str, compression: str) -> None:
-        pq.write_table(table, path, compression=compression)
+    def write_parquet(self, table: pa.Table, path: str, compression: str,
+                      row_groups: list[int] | None = None) -> None:
+        _write_file(table, path, compression, None, row_groups)
 
-    def read_parquet(self, path: str, columns: list[str] | None = None) -> pa.Table:
-        return _read_file(path, columns, None)
+    def read_parquet(self, path: str, columns: list[str] | None = None,
+                     row_groups=None) -> pa.Table:
+        return _read_file(path, columns, None, row_groups)
 
     def finalize(self, src: str, dest: str, keep_src: bool = False) -> None:
         """Atomic rename. ``keep_src`` (see ObjectLakeFS.finalize) asks
@@ -217,11 +238,13 @@ class ObjectLakeFS:
         with self.pafs.open_output_stream(path) as f:
             f.write(payload)
 
-    def write_parquet(self, table: pa.Table, path: str, compression: str) -> None:
-        pq.write_table(table, path, filesystem=self.pafs, compression=compression)
+    def write_parquet(self, table: pa.Table, path: str, compression: str,
+                      row_groups: list[int] | None = None) -> None:
+        _write_file(table, path, compression, self.pafs, row_groups)
 
-    def read_parquet(self, path: str, columns: list[str] | None = None) -> pa.Table:
-        return _read_file(path, columns, self.pafs)
+    def read_parquet(self, path: str, columns: list[str] | None = None,
+                     row_groups=None) -> pa.Table:
+        return _read_file(path, columns, self.pafs, row_groups)
 
     def finalize(self, src: str, dest: str, keep_src: bool = False) -> None:
         """Staged object → final key: server-side copy + delete. NO rename.

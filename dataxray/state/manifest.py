@@ -6,14 +6,17 @@ Commit protocol, composed from the two idempotency patterns in the reference:
   * starrockswriter: every flushed batch carries a *label* and a re-sent label
     is recognized and skipped (StarRocksWriterManager.java:33-143, label :52).
 
-Here: each per-partition merge writes its new state file into its run's one
-staging directory ``_staging/<run_id>/`` under a uuid name (task retries
-collide on nothing), and the driver commits the whole epoch at once
-(Lake.commit) — every partition it wrote plus the watermark advance of the
-rest — in these steps, each a named ``failpoint``:
+Here: an epoch's merges write their new state into the run's one staging
+directory ``_staging/<run_id>/`` under uuid names (task retries collide on
+nothing), and the driver commits the whole epoch at once (Lake.commit) —
+every partition it wrote plus the watermark advance of the rest — in these
+steps, each a named ``failpoint``:
 
-  staged    (in the merge) the staged file is written;
-  finalize  each staged file is moved to ``part=<p>/txn=<txn_hi>/``;
+  staged    (in the merge, or once for the driver's shared L0 file) a
+            staged file is written;
+  finalize  each staged file is moved, once however many partitions refer
+            to it, to ``part=<p>/txn=<txn_hi>/`` (a one-partition file) or
+            ``l0/txn=<txn_hi>/`` (a delta epoch's shared L0 file);
   snapshot  one PUT of the table's new snapshot to ``_snapshot-g<gen>.json``
             — THE commit point: a reader sees all of an epoch or none of it;
   history   history lakes: one PUT of the same snapshot, immutable, under
@@ -24,8 +27,9 @@ rest — in these steps, each a named ``failpoint``:
 
 The label is ``(partition, txn_hi)`` with **monotonic txn ids**: an entry
 whose txn_hi is at or below its partition's in the current snapshot is a
-recognized replay — skipped, its staged files deleted — so re-running a
-committed batch changes nothing. A crash before the snapshot PUT leaves the
+recognized replay — skipped, and its staged file deleted unless an entry
+that commits refers to it too — so re-running a committed batch changes
+nothing. A crash before the snapshot PUT leaves the
 previous snapshot current; the files it had already finalized are orphans,
 as are the superseded files of a crash before the GC. Either crash leaves
 the run's staging directory, which is removed last (on an object store the
@@ -33,7 +37,7 @@ staged objects are copied at finalize and deleted only then, so the prefix
 outlives every earlier step); the next sweep_staging removes it and, with
 it, every file no retained snapshot references (pipelines/maintenance.py).
 
-Layout:
+Layout (format 3):
     lake/
       _meta.json                   format, partitioner id, P, event schema
                                    (b64 Arrow), history flag, generation
@@ -44,12 +48,31 @@ Layout:
                                    history lakes: every committed snapshot
                                    (version, then txn_hi: one LIST finds the
                                    newest one at or before a txn)
-      _staging/<run_id>/part-00007-<uuid>.parquet
+      _staging/<run_id>/part-00007-<uuid>.parquet | l0-<uuid>.parquet
       part=00007/txn=0000000042/part-00007-<uuid>.parquet
+      l0/txn=0000000042/l0-<uuid>.parquet
+      (generation k > 0: g000k-part=00007/…, g000k-l0/…)
 
-Per partition the snapshot records its files (base first, then deltas),
-``n_deltas``, ``txn_hi`` (its applied watermark) and ``data_txn`` (the
-txn_hi of its last data write: which partitions changed after a txn).
+Per partition the snapshot records its file refs (base first, then
+deltas), ``n_deltas``, ``txn_hi`` (its applied watermark) and ``data_txn``
+(the txn_hi of its last data write: which partitions changed after a txn).
+A ref is a lake-relative path (the whole file: a base file, or a
+distributed merge's one-partition delta as ``{path, bytes}``) or a slice
+of a shared L0 file, ``{path, bytes, skip, rows[, rg][, until]}``: ``rows``
+rows from row ``skip`` of the file, or of its row groups ``rg`` = [first,
+end) when it has several, ``bytes`` the slice's share of the file's size
+and ``until`` the last partition whose slice shares its row groups.
+
+The L0 file is the LSM shape (O'Neil et al. 1996): a delta epoch run in the
+driver writes its partitions' LWW winners as ONE file sorted by partition,
+small slices packed into row groups of up to ROW_GROUP_ROWS rows and a
+larger slice in row groups of its own; rewrites and compactions write one
+base file per partition, so compaction turns L0 slices into L1 base files.
+Garbage collection is a file-set difference of snapshots, so an L0 file
+dies with the last partition that refers to it. Reads of a shared file go
+through read_once: within one read call each (file, row groups, columns)
+is decoded once, whatever the number of partitions that refer to it.
+Format 2 (one file per partition and delta) and format 1 are refused.
 
 Storage is abstracted behind ``state.lakefs``: a plain path commits via
 atomic rename (local/HDFS semantics); a ``mocks3://`` / ``s3://`` root runs
@@ -62,9 +85,12 @@ single-object snapshot PUT as the commit point, no rename anywhere
 from __future__ import annotations
 
 import base64
+import contextlib
+import contextvars
 import os
 import time
 import uuid
+from typing import NamedTuple
 
 import pyarrow as pa
 
@@ -75,9 +101,79 @@ from . import lakefs
 META = "_meta.json"
 SNAPSHOTS = "_snapshots"
 STAGING = "_staging"
-# _meta.json "format": 2 = one table snapshot per commit. Format 1 (no
-# field) kept one manifest per partition under _manifests/ and is refused.
-FORMAT = 2
+# _meta.json "format": 3 = one table snapshot per commit, a delta epoch's
+# slices in one shared L0 file. Format 2 (one file per partition and
+# delta) and format 1 (no field: one manifest per partition under
+# _manifests/) are refused.
+FORMAT = 3
+# rows per row group of a shared L0 file: small slices are packed up to it,
+# and a larger slice gets row groups of its own, so its partition's reads
+# decode only those
+ROW_GROUP_ROWS = 1 << 16
+_CURRENT = object()  # Lake.commit's default base: read the current snapshot
+
+
+class Slice(NamedTuple):
+    """A partition's rows in a shared L0 file (module docstring): ``rows``
+    rows from row ``skip`` of the file's row groups ``rg`` (all when None);
+    ``until`` is the last partition whose slice shares those row groups.
+    A whole-file ref is a plain path string."""
+    path: str
+    skip: int
+    rows: int
+    rg: tuple[int, int] | None = None
+    until: int | None = None
+
+
+def ref_path(ref) -> str:
+    """The data file a ref (a path or a Slice) reads."""
+    return ref if isinstance(ref, str) else ref.path
+
+
+class _ReadMemo:
+    """Decoded (file, row groups, columns) of one read call (read_once).
+    Partitions are read in ascending order, so an entry is kept while the
+    partition being read lies between the first one that read it and the
+    last one that shares it (``until``); a partition's own files are
+    dropped when the next partition starts."""
+
+    def __init__(self):
+        self.p: int | None = None
+        self.tables: dict[tuple, tuple[pa.Table, int, int]] = {}
+
+    def get(self, p: int, key: tuple, until: int | None, read) -> pa.Table:
+        if p != self.p:
+            self.p = p
+            self.tables = {k: v for k, v in self.tables.items()
+                           if v[1] <= p <= v[2]}
+        hit = self.tables.get(key)
+        if hit is None:
+            hit = self.tables[key] = (read(), p, max(p, until or p))
+        return hit[0]
+
+
+_MEMO: contextvars.ContextVar[_ReadMemo | None] = contextvars.ContextVar(
+    "dataxray_read_memo", default=None)
+
+
+@contextlib.contextmanager
+def read_once():
+    """Scope of one read call (a lookup, scan, change feed, compaction,
+    re-hash or a replay's merges; with the task executor, one task's share
+    of them): inside it Lake.read_state_raw decodes each (file, row groups,
+    columns) at most once, so the partitions that share an L0 file read it
+    once between them. Nested scopes share the outer memo; it lives in a
+    context variable, so it is never pickled into a task, and it is dropped
+    when the outermost scope exits. Data files are immutable (uuid names),
+    so a memo can never serve stale rows."""
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set(_ReadMemo())
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
 
 
 def failpoint(name: str) -> None:
@@ -189,8 +285,9 @@ def _run_jobs(fn, jobs: list[tuple], per_job: bool = False):
     here."""
     import ray
 
-    out = [fn(*(ray.get(a) if isinstance(a, ray.ObjectRef) else a for a in job))
-           for job in jobs]
+    with read_once():
+        out = [fn(*(ray.get(a) if isinstance(a, ray.ObjectRef) else a
+                    for a in job)) for job in jobs]
     return out[0] if per_job and len(out) == 1 else out
 
 
@@ -203,7 +300,8 @@ def run_partition_jobs(fn, jobs: list[tuple], local: bool) -> list:
     callers that need the results in the driver; jobs_dataset keeps them
     in the object store."""
     if local or not jobs:
-        return [fn(*job) for job in jobs]
+        with read_once():
+            return [fn(*job) for job in jobs]
     import ray
 
     return [r for share in ray.get(_submit_jobs(fn, jobs, False)) for r in share]
@@ -225,16 +323,17 @@ def jobs_dataset(fn, jobs: list[tuple], local: bool):
     if local or not jobs:
         cap = ray.data.DataContext.get_current().target_max_block_size
         refs, pending, held = [], [], 0
-        for i, job in enumerate(jobs):
-            t = fn(*job)
-            if len(t.schema):
-                pending.append(t)
-                held += t.nbytes
-            if pending and (i == len(jobs) - 1
-                            or (cap is not None and held >= cap)):
-                refs.append(ray.put(
-                    pa.concat_tables(pending, promote_options="permissive")))
-                pending, held = [], 0
+        with read_once():
+            for i, job in enumerate(jobs):
+                t = fn(*job)
+                if len(t.schema):
+                    pending.append(t)
+                    held += t.nbytes
+                if pending and (i == len(jobs) - 1
+                                or (cap is not None and held >= cap)):
+                    refs.append(ray.put(pa.concat_tables(
+                        pending, promote_options="permissive")))
+                    pending, held = [], 0
         if not refs:
             return ray.data.from_items([])
         return ray.data.from_arrow_refs(refs)
@@ -355,6 +454,11 @@ class Lake:
         one, and old generations stay intact for time travel."""
         return f"part={p:05d}" if gen == 0 else f"g{gen:04d}-part={p:05d}"
 
+    @staticmethod
+    def _l0_prefix(gen: int) -> str:
+        """Data directory of a generation's shared L0 files."""
+        return "l0" if gen == 0 else f"g{gen:04d}-l0"
+
     # ---------- meta ----------
     def exists(self) -> bool:
         return self.fs.exists(self._p(META))
@@ -384,31 +488,26 @@ class Lake:
         )
         self._invalidate()
 
-    def bootstrap_pages(self) -> str | None:
-        """Pages path to keep replaying while any partition lacks an entry
-        in the current snapshot."""
-        meta = self.meta()
-        if meta.get("bootstrap_pages") is None:
-            return None
-        if len(self.watermarks()) >= meta["num_partitions"]:
-            return None  # bootstrap complete everywhere
-        return meta["bootstrap_pages"]
-
     def meta(self) -> dict:
         meta = self.fs.read_json(self._p(META))
         if meta.get("format") != FORMAT:
+            old = meta.get("format", 1)
             raise RuntimeError(
-                f"lake at {self.root} has format {meta.get('format', 1)} "
-                "(one manifest per partition); this version reads format "
-                f"{FORMAT} (one table snapshot per commit) only — replay "
-                "the WAL into a new lake root")
+                f"lake at {self.root} has format {old} ("
+                + ("one manifest per partition" if old == 1 else
+                   "one data file per partition and delta")
+                + f"); this version reads format {FORMAT} (one table "
+                "snapshot per commit, a delta epoch's partitions in one "
+                "shared L0 file) only — replay the WAL into a new lake root")
         return meta
 
     def num_partitions(self) -> int:
         return self.meta()["num_partitions"]
 
-    def event_schema(self) -> pa.Schema:
-        return _schema_from_b64(self.meta()["event_schema"])
+    def event_schema(self, meta: dict | None = None) -> pa.Schema:
+        """The lake's event schema, from ``meta`` (a _meta.json the caller
+        already read) or a fresh read."""
+        return _schema_from_b64((meta or self.meta())["event_schema"])
 
     def version_token(self) -> str:
         """Compact identity of the current committed snapshot — the staleness
@@ -420,21 +519,24 @@ class Lake:
         snap = self.snapshot()
         return f"g{self.generation()}:txn{snap['txn_hi'] if snap else -1}"
 
-    def validate_partitioner(self) -> None:
+    def validate_partitioner(self, meta: dict | None = None) -> None:
         """Resume safety: a changed hash implementation would silently route
-        events to the wrong partitions — fail loudly instead."""
-        got = self.meta()["partitioner"]
+        events to the wrong partitions — fail loudly instead. ``meta`` as
+        in event_schema."""
+        got = (meta or self.meta())["partitioner"]
         if got != partitioner_id():
             raise RuntimeError(
                 f"lake was partitioned with {got!r}, this install hashes with "
                 f"{partitioner_id()!r}; refusing to resume"
             )
 
-    def evolve_schema(self, new_event_schema: pa.Schema) -> None:
+    def evolve_schema(self, new_event_schema: pa.Schema,
+                      meta: dict | None = None) -> None:
         """Additive promotion (pa.unify_schemas); old files stay valid —
-        missing columns read as nulls (schema evolution, SURVEY.md §7.1)."""
-        meta = self.meta()
-        merged = unify([self.event_schema(), new_event_schema])
+        missing columns read as nulls (schema evolution, SURVEY.md §7.1).
+        ``meta`` as in event_schema; it is updated in place."""
+        meta = meta or self.meta()
+        merged = unify([self.event_schema(meta), new_event_schema])
         meta["event_schema"] = _schema_to_b64(merged)
         self.fs.put_json(self._p(META), meta)
 
@@ -500,26 +602,38 @@ class Lake:
         """Per-partition committed txn_hi — the resumable checkpoint."""
         return {p: e["txn_hi"] for p, e in entries(self.snapshot()).items()}
 
-    def _files(self, snap: dict | None) -> dict[int, list[str]]:
-        """Data files per committed partition of ``snap``."""
-        return {p: [self._p(f) for f in e["files"]]
+    def _ref(self, r):
+        """A snapshot ref (module docstring) as a read ref: the absolute
+        path of a whole file, or a Slice of a shared one."""
+        if isinstance(r, str):
+            return self._p(r)
+        if "rows" not in r:
+            return self._p(r["path"])
+        return Slice(self._p(r["path"]), r["skip"], r["rows"],
+                     tuple(r["rg"]) if "rg" in r else None, r.get("until"))
+
+    def _files(self, snap: dict | None) -> dict[int, list]:
+        """Read refs (paths or Slices) per committed partition of
+        ``snap``."""
+        return {p: [self._ref(f) for f in e["files"]]
                 for p, e in entries(snap).items()}
 
-    def _snapshot_files(self, as_of_txn: int | None = None) -> dict[int, list[str]]:
-        """Data files per committed partition of the snapshot at
+    def _snapshot_files(self, as_of_txn: int | None = None) -> dict[int, list]:
+        """Read refs per committed partition of the snapshot at
         ``as_of_txn`` (None = current)."""
         return self._files(self.snapshot(as_of_txn))
 
     def _in_driver(self, files, columns: list[str] | None = None) -> bool:
         """The executor choice of one read of ``columns`` (all when None) of
-        ``files``, made once and handed to run_partition_jobs or
-        jobs_dataset, by in_driver. The files' total size answers for a
+        ``files`` (refs; a shared file counts once), made once and handed
+        to run_partition_jobs or jobs_dataset, by in_driver. The files'
+        total size answers for a
         read of every column (their column chunks plus small footers) and
         for any read it sends to the driver (an upper bound within the
         cutoff, or a cluster that cannot run tasks in parallel); otherwise
         the projection's compressed column bytes come from the Parquet
         footers."""
-        files = list(files)
+        files = list(dict.fromkeys(map(ref_path, files)))
         local = in_driver(sum(self.fs.size(f) for f in files))
         if columns is None or local:
             return local
@@ -542,28 +656,97 @@ class Lake:
             "staged": [path],
             "row_count": len(table),
             "num_bytes": table.nbytes,
+            "bytes": self.fs.size(path),
         }
 
-    def partition_files(self, p: int, as_of_txn: int | None = None) -> list[str]:
+    def write_staged_shared(self, run_id: str,
+                            slices: list[tuple[int, pa.Table]]) -> list[dict]:
+        """Stage a delta epoch's per-partition tables, in ascending
+        partition order, as ONE L0 file sorted by partition (module
+        docstring); returns write_staged's metadata per partition, each
+        with the ``slice`` of the file its partition refers to and
+        ``bytes``, its share of the file's size. Slices of up to
+        ROW_GROUP_ROWS rows are packed into row groups of up to that many
+        rows; a larger one is written as row groups of its own."""
+        d = self._p(STAGING, run_id)
+        self.fs.makedirs(d)
+        path = os.path.join(d, f"l0-{uuid.uuid4().hex}.parquet")
+        table = pa.concat_tables([t for _, t in slices],
+                                 promote_options="permissive")
+        groups: list[list[int]] = []  # slice indexes per row-group run
+        for i, (_, t) in enumerate(slices):
+            if groups and sum(len(slices[j][1]) for j in groups[-1]) \
+                    + len(t) <= ROW_GROUP_ROWS:
+                groups[-1].append(i)
+            else:
+                groups.append([i])
+        # a file of one row group needs no row-group range in its refs
+        multi = len(groups) > 1 or len(table) > ROW_GROUP_ROWS
+        row_groups, refs, rg = [], [], 0
+        for g in groups:
+            n = sum(len(slices[i][1]) for i in g)
+            k = -(-n // ROW_GROUP_ROWS)  # a large slice: row groups of its own
+            row_groups += [min(ROW_GROUP_ROWS, n - j * ROW_GROUP_ROWS)
+                           for j in range(k)]
+            until, skip = slices[g[-1]][0], 0
+            for i in g:
+                p, t = slices[i]
+                ref = {"skip": skip, "rows": len(t)}
+                if multi:
+                    ref["rg"] = [rg, rg + k]
+                if until > p:
+                    ref["until"] = until
+                refs.append(ref)
+                skip += len(t)
+            rg += k
+        self.fs.write_parquet(table, path, compression=self.COMPRESSION,
+                              row_groups=row_groups if multi else None)
+        failpoint("staged")
+        size, total = self.fs.size(path), max(table.nbytes, 1)
+        return [{"partition": p, "staged": [path], "row_count": len(t),
+                 "num_bytes": t.nbytes, "bytes": size * t.nbytes // total,
+                 "slice": r} for (p, t), r in zip(slices, refs)]
+
+    def partition_files(self, p: int, as_of_txn: int | None = None) -> list:
         return self._files(self.snapshot(as_of_txn)).get(p, [])
 
     def read_state_raw(self, p: int, as_of_txn: int | None = None,
                        columns: list[str] | None = None,
-                       files: list[str] | None = None) -> pa.Table | None:
-        """Concat of base + delta files — may contain superseded rows and
+                       files: list | None = None) -> pa.Table | None:
+        """Concat of base + delta refs — may contain superseded rows and
         tombstones; LWW lineage (txn_id, seq) resolves them. ``columns``
         reads only those columns plus LINEAGE (key, lineage and tombstone
-        marker, so LWW still resolves). ``files`` reads that file list
-        instead of looking up the partition in the snapshot (for callers
-        that already hold it)."""
+        marker, so LWW still resolves). ``files`` reads that ref list
+        (paths or Slices) instead of looking up the partition in the
+        snapshot (for callers that already hold it). The one reader of
+        refs: inside read_once a shared file's (row groups, columns) is
+        decoded once per call, and a Slice is a zero-copy slice of it."""
         if files is None:
             files = self.partition_files(p, as_of_txn)
         if not files:
             return None
         cols = None if columns is None else _read_columns(columns)
-        return pa.concat_tables(
-            [self.fs.read_parquet(f, cols) for f in files],
-            promote_options="permissive")
+        return pa.concat_tables([self._read_ref(p, f, cols) for f in files],
+                                promote_options="permissive")
+
+    def _read_ref(self, p: int, ref, cols: list[str] | None) -> pa.Table:
+        """Partition ``p``'s rows of one ref, through the read_once memo
+        when a read call has one."""
+        path = ref_path(ref)
+        rg = None if isinstance(ref, str) else ref.rg
+
+        def read() -> pa.Table:
+            if rg is None:
+                return self.fs.read_parquet(path, cols)
+            return self.fs.read_parquet(path, cols, row_groups=list(range(*rg)))
+
+        memo = _MEMO.get()
+        if memo is None:
+            t = read()
+        else:
+            t = memo.get(p, (path, rg, None if cols is None else tuple(cols)),
+                         getattr(ref, "until", None), read)
+        return t if isinstance(ref, str) else t.slice(ref.skip, ref.rows)
 
     # kept as the merge-path API: raw is correct input for an LWW merge
     read_state = read_state_raw
@@ -593,18 +776,25 @@ class Lake:
 
     # ---------- commit ----------
     def commit(self, staged: list[dict], run_id: str,
-               advance_to: int | None = None) -> list[str]:
+               advance_to: int | None = None, base=_CURRENT) -> list[str]:
         """Commit one epoch as ONE new table snapshot (module docstring);
         returns each entry's status, 'committed' or 'skipped'.
 
         ``staged``: the merges' results, {partition, txn_hi, staged,
-        row_count, num_bytes, mode}. mode="rewrite": the staged files
-        REPLACE the partition (its full state). mode="delta": they APPEND —
-        only this epoch's LWW winners incl. tombstones, resolved against
-        older files at read time (an epoch touching 1% of a partition
-        writes 1%, not 100%). mode="compact": they replace the files at the
-        SAME txn_hi (resolving deltas changes layout, not state) — exempt
-        from the monotonic label, and the partition's data_txn stays.
+        row_count, num_bytes, bytes, mode[, slice]}. mode="rewrite": the
+        staged files REPLACE the partition (its full state). mode="delta":
+        they APPEND — only this epoch's LWW winners incl. tombstones,
+        resolved against older files at read time (an epoch touching 1% of
+        a partition writes 1%, not 100%); an entry with a ``slice``
+        (write_staged_shared) refers to that slice of a staged file it
+        shares with other entries, finalized once. mode="compact": they
+        replace the files at the SAME txn_hi (resolving deltas changes
+        layout, not state) — exempt from the monotonic label, and the
+        partition's data_txn stays. A skipped entry's staged file is
+        deleted unless a committed entry refers to it.
+
+        ``base`` is the current snapshot the caller already read (None: the
+        lake has none yet); by default commit reads it.
 
         ``advance_to`` raises every partition's txn_hi to at least that txn
         in the same snapshot, giving a never-written one an entry without
@@ -613,31 +803,38 @@ class Lake:
         low watermark forever and every future epoch re-reads the whole
         history. Writes nothing when no entry commits and no watermark
         moves."""
-        cur = self._current()
+        cur = self._current() if base is _CURRENT else base
         gen = self.generation()
         parts = (list(cur["partitions"]) if cur is not None
                  else [None] * self._meta_cached()["num_partitions"])
         status = []
+        final: dict[str, str] = {}  # staged path → its lake-relative path
+        skipped: set[str] = set()
         for m in staged:
             p, txn, mode = int(m["partition"]), int(m["txn_hi"]), str(m["mode"])
             old = parts[p]
             if old is not None and (old["txn_hi"] > txn if mode == "compact"
                                     else old["txn_hi"] >= txn):
-                for s in m["staged"]:  # replayed label → drop the duplicate
-                    self.fs.delete_file(s)
+                skipped.update(m["staged"])  # replayed label → a duplicate
                 status.append("skipped")
                 continue
-            final_dir = self._p(self._part_prefix(p, gen), f"txn={txn:010d}")
-            if m["staged"]:
-                self.fs.makedirs(final_dir)
+            top = (self._l0_prefix(gen) if "slice" in m
+                   else self._part_prefix(p, gen))
             files = []
             for s in m["staged"]:
-                dest = os.path.join(final_dir, os.path.basename(s))
-                # rename (local) / copy (object; the staged copy goes
-                # with the run's staging at cleanup: the crash trace)
-                self.fs.finalize(s, dest, keep_src=True)
-                failpoint("finalize")
-                files.append(os.path.relpath(dest, self.base))
+                if s not in final:  # a shared file is finalized once
+                    d = self._p(top, f"txn={txn:010d}")
+                    self.fs.makedirs(d)
+                    # rename (local) / copy (object; the staged copy goes
+                    # with the run's staging at cleanup: the crash trace)
+                    self.fs.finalize(s, os.path.join(d, os.path.basename(s)),
+                                     keep_src=True)
+                    failpoint("finalize")
+                    final[s] = os.path.relpath(
+                        os.path.join(d, os.path.basename(s)), self.base)
+                files.append(final[s] if mode != "delta" else
+                             {"path": final[s], "bytes": int(m["bytes"]),
+                              **m.get("slice", {})})
             append = mode == "delta" and old is not None
             parts[p] = {
                 "files": old["files"] + files if append else files,
@@ -649,6 +846,8 @@ class Lake:
                 "mode": mode,
             }
             status.append("committed")
+        for s in skipped - final.keys():
+            self.fs.delete_file(s)
         if advance_to is not None:
             for p, e in enumerate(parts):
                 if e is None:
@@ -727,7 +926,7 @@ class Lake:
         it removes a crashed run's staging (which every such crash leaves,
         cleanup being a commit's last step). Returns the files deleted."""
         found = {os.path.join(top, txn, name)
-                 for top in self.fs.list_names(self.base) if "part=" in top
+                 for top in self.fs.list_names(self.base) if _data_dir(top)
                  for txn in self.fs.list_names(self._p(top))
                  for name in self.fs.list_names(self._p(top, txn))}
         now = time.time()  # an unknown mtime (0) never reads as old
@@ -736,16 +935,20 @@ class Lake:
         self._drop_files(dead, found - dead)
         return len(dead)
 
-    def _delta_bytes(self, e: dict | None) -> int:
+    @staticmethod
+    def _delta_bytes(e: dict | None) -> int:
+        """A partition's delta bytes: the sizes its last ``n_deltas`` refs
+        record (a slice's share of a shared file, not the file's size)."""
         if e is None or e["n_deltas"] == 0:
             return 0
-        return sum(self.fs.size(self._p(f)) for f in e["files"][1:])
+        return sum(int(r["bytes"]) for r in e["files"][-e["n_deltas"]:])
 
     def delta_bytes(self, p: int) -> int:
-        """Bytes held in a partition's delta files (files after the base)."""
+        """Bytes held in a partition's delta refs (the refs after the
+        base)."""
         return self._delta_bytes(self.manifest(p))
 
-    def _compact_job(self, p: int, files: list[str], txn_hi: int,
+    def _compact_job(self, p: int, files: list, txn_hi: int,
                      run_id: str) -> dict:
         """Stage one partition's base + deltas resolved into one base file."""
         from ..stages.merge import resolve_state
@@ -767,19 +970,20 @@ class Lake:
         cold one with a few tiny deltas is left alone — the knob that keeps
         steady-state compaction I/O proportional to churn, not to partition
         count."""
-        todo = {p: e for p, e in entries(self.snapshot()).items()
+        snap = self.snapshot()
+        todo = {p: e for p, e in entries(snap).items()
                 if e["n_deltas"] > 0 and (min_delta_bytes is None or
                                           self._delta_bytes(e) >= min_delta_bytes)}
         if not todo:
             return 0
         run_id = f"compact-{uuid.uuid4().hex[:8]}"
-        files = {p: [self._p(f) for f in e["files"]] for p, e in todo.items()}
+        files = {p: [self._ref(f) for f in e["files"]] for p, e in todo.items()}
         local = not parallel or self._in_driver(
             f for fs_ in files.values() for f in fs_)
         staged = run_partition_jobs(
             Lake._compact_job, [(self, p, files[p], todo[p]["txn_hi"], run_id)
                                 for p in sorted(todo)], local)
-        status = self.commit(staged, run_id)
+        status = self.commit(staged, run_id, base=snap)
         self.cleanup_staging(run_id)
         return status.count("committed")
 
@@ -821,7 +1025,8 @@ class Lake:
                            if parts else None)
 
         if local:
-            pieces = {p: split(p) for p in src_parts}
+            with read_once():
+                pieces = {p: split(p) for p in src_parts}
         else:
             import ray
 
@@ -918,6 +1123,7 @@ class Lake:
         if not meta.get("history"):
             for p in old_files:
                 self.fs.delete_tree(self._p(self._part_prefix(p, old_gen)))
+            self.fs.delete_tree(self._p(self._l0_prefix(old_gen)))
         self.cleanup_staging(run_id)
         return {"generation": new_gen, "num_partitions": new_num_partitions,
                 "boundary_txn": boundary,
@@ -925,16 +1131,22 @@ class Lake:
 
     # ---------- reads ----------
     def all_files(self) -> list[str]:
-        return [f for _, fs_ in sorted(self._snapshot_files().items())
-                for f in fs_]
+        """Every live data file of the current snapshot, once each (a
+        shared L0 file is referenced by many partitions), in partition
+        order."""
+        return list(dict.fromkeys(
+            ref_path(f) for _, fs_ in sorted(self._snapshot_files().items())
+            for f in fs_))
 
     def read_all(self, as_of_txn: int | None = None) -> pa.Table:
         """Whole-lake resolved table (tests / small results only).
         ``as_of_txn`` time-travels to the newest retained snapshot with
         txn_hi <= as_of_txn (requires init(history=True) for snapshots
         older than the current one)."""
-        parts = [t for p, fs_ in sorted(self._snapshot_files(as_of_txn).items())
-                 if (t := self.resolve(p, files=fs_)) is not None]
+        with read_once():
+            parts = [t for p, fs_ in
+                     sorted(self._snapshot_files(as_of_txn).items())
+                     if (t := self.resolve(p, files=fs_)) is not None]
         if not parts:
             return pa.table({})
         return pa.concat_tables(parts, promote_options="permissive")
@@ -1083,11 +1295,18 @@ class Lake:
         base = {p: fs_ for p, fs_ in files_of.items() if p not in delta_parts}
         n_base, n_delta = sum(map(len, base.values())), len(delta_parts)
         if pred is not None and pred.conjuncts:
-            base = {p: [f for f in fs_ if pred.file_may_match(self.fs, f)]
+            seen: dict[str, bool] = {}  # a shared file's footer read once
+
+            def may_match(ref) -> bool:
+                path = ref_path(ref)
+                if path not in seen:
+                    seen[path] = pred.file_may_match(self.fs, path)
+                return seen[path]
+
+            base = {p: [f for f in fs_ if may_match(f)]
                     for p, fs_ in base.items()}
             delta_parts = [p for p in delta_parts
-                           if any(pred.file_may_match(self.fs, f)
-                                  for f in files_of[p])]
+                           if any(map(may_match, files_of[p]))]
         part_files = {p: fs_ for p, fs_ in base.items() if fs_}
         n_base_kept = sum(map(len, part_files.values()))
         part_files.update((p, files_of[p]) for p in delta_parts)
@@ -1134,5 +1353,12 @@ class Lake:
 
 
 def _rel_files(snaps: list[dict]) -> set[str]:
-    """Every lake-relative data file the snapshots reference."""
-    return {f for s in snaps for e in entries(s).values() for f in e["files"]}
+    """Every lake-relative data file the snapshots reference, each once."""
+    return {f if isinstance(f, str) else f["path"]
+            for s in snaps for e in entries(s).values() for f in e["files"]}
+
+
+def _data_dir(name: str) -> bool:
+    """Whether a top-level lake entry holds data files (any generation's
+    partition or L0 directories)."""
+    return "part=" in name or name.endswith("l0")

@@ -153,3 +153,73 @@ def test_explicit_compaction(data_dir, oracle_df, tmp_path, scheme):
     got = lake.read_all().to_pandas().sort_values("url").reset_index(drop=True)
     ch = got["content_hash"].where(got["content_hash"].notna(), None).tolist()
     assert ch == oracle_df["content_hash"].tolist()
+
+
+def test_each_data_file_counted_once(data_dir, tmp_path, scheme):
+    """A delta epoch's partitions share one L0 file: all_files() lists it
+    once, so the lake's bytes are the distinct files' bytes, and each
+    partition's delta_bytes is its own slices' share, which is what
+    compact_all(min_delta_bytes=) schedules by."""
+    lake_dir = scheme + str(tmp_path / "lake")
+    cfg = ReplayConfig(num_partitions=4, sink_mode="delta", compact_threshold=100)
+    _epoch_replay(data_dir, lake_dir, cfg, tmp_path)
+    lake = Lake(lake_dir)
+    refs = [f for p in range(4) for f in lake.manifest(p)["files"]]
+    distinct = {f if isinstance(f, str) else f["path"] for f in refs}
+    assert len(distinct) < len(refs)  # the L0 files are shared
+    files = lake.all_files()
+    assert len(files) == len(set(files)) == len(distinct)
+    assert sum(map(lake.fs.size, files)) == \
+        sum(lake.fs.size(lake._p(f)) for f in distinct)
+    l0 = {f["path"] for f in refs if isinstance(f, dict)}
+    assert all(lake.delta_bytes(p) < sum(lake.fs.size(lake._p(f)) for f in l0)
+               for p in range(4))
+    # by its own slices: the partitions above the median compact, the rest
+    # keep their deltas
+    sizes = {p: lake.delta_bytes(p) for p in range(4)}
+    cut = sorted(sizes.values())[2]
+    assert lake.compact_all(min_delta_bytes=cut) == \
+        sum(b >= cut for b in sizes.values())
+    assert {p for p in range(4) if lake.manifest(p)["n_deltas"]} == \
+        {p for p, b in sizes.items() if b < cut}
+
+
+def test_large_slices_get_row_groups_of_their_own(tmp_path, scheme,
+                                                   monkeypatch):
+    """In a shared L0 file, small slices pack into one row group and a
+    slice larger than ROW_GROUP_ROWS gets row groups of its own: reading
+    its partition decodes only those, and every partition reads back its
+    own rows."""
+    from dataxray.state import manifest as M
+
+    monkeypatch.setattr(M, "ROW_GROUP_ROWS", 4)
+    schema = pa.schema([("url", pa.string()), ("txn_id", pa.int64()),
+                        ("seq", pa.int64()), ("op", pa.string())])
+    lake = Lake(scheme + str(tmp_path / "lake"))
+    lake.init(4, schema)
+    sizes = {0: 2, 1: 1, 2: 9, 3: 3}
+    rows = {p: pa.table({"url": [f"u{p}-{i}" for i in range(n)],
+                         "txn_id": [5] * n, "seq": [0] * n, "op": ["I"] * n},
+                        schema=schema) for p, n in sizes.items()}
+    staged = lake.write_staged_shared("r", sorted(rows.items()))
+    assert len({m["staged"][0] for m in staged}) == 1
+    assert [m["slice"] for m in staged] == [
+        {"skip": 0, "rows": 2, "rg": [0, 1], "until": 1},
+        {"skip": 2, "rows": 1, "rg": [0, 1]},
+        {"skip": 0, "rows": 9, "rg": [1, 4]},
+        {"skip": 0, "rows": 3, "rg": [4, 5]}]
+    # the first commit of a partition with mode delta appends to nothing
+    assert lake.commit([{**m, "txn_hi": 5, "mode": "delta"} for m in staged],
+                       "r") == ["committed"] * 4
+    lake.cleanup_staging("r")
+    read = type(lake.fs).read_parquet
+    groups = []
+
+    def recording(self, path, columns=None, row_groups=None):
+        groups.append(row_groups)
+        return read(self, path, columns, row_groups=row_groups)
+
+    monkeypatch.setattr(type(lake.fs), "read_parquet", recording)
+    for p, t in rows.items():
+        assert lake.read_state_raw(p).equals(t)
+    assert groups == [[0], [0], [1, 2, 3], [4]]

@@ -443,11 +443,12 @@ def test_resume_counts_exactly_the_events_above_each_watermark(
 
     real_commit = M.Lake.commit
 
-    def partial_commit(self, staged, run_id, advance_to=None):
+    def partial_commit(self, staged, run_id, advance_to=None, **kw):
         for m in staged[3:]:
             for f in m["staged"]:
                 self.fs.delete_file(f)
-        return real_commit(self, staged[:3], run_id) + ["skipped"] * (len(staged) - 3)
+        return real_commit(self, staged[:3], run_id, **kw) \
+            + ["skipped"] * (len(staged) - 3)
 
     monkeypatch.setattr(M.Lake, "commit", partial_commit)
     replay(_wal(tmp_path, files[:4]), lake, cfg=cfg)

@@ -325,3 +325,96 @@ def test_compact_all_under_both_executors(executor, tmp_path, scheme):
     assert lake.compact_all() == 4
     assert [lake.manifest(p)["n_deltas"] for p in range(4)] == [0] * 4
     assert lake.read_all().sort_by("url").equals(before)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_each_call_reads_a_shared_file_once(executor, tmp_path, monkeypatch,
+                                            scheme):
+    """On a lake of several delta epochs (each an L0 file every partition
+    has a slice of): a lookup, a projected scan, changes_table and
+    compact_all each read any (file, columns) pair at most once — per call
+    in the driver, per task with the task executor (the task body,
+    _run_jobs, run in this process here so its reads can be recorded) —
+    and their answers still equal sequential_oracle."""
+    import ray
+
+    cfg = GenConfig(n_urls=160, n_events=1_200, n_shards=3, html_mean=32)
+    pages = str(tmp_path / "pages.parquet")
+    pq.write_table(generate_pages(cfg), pages)
+    root = scheme + str(tmp_path / "lake")
+    rcfg = ReplayConfig(num_partitions=P, sink_mode="delta", history=True,
+                        compact_threshold=100)
+    cutoff = manifest.LOCAL_INPUT_BYTES  # the executor the reads run on
+    monkeypatch.setattr(manifest, "LOCAL_INPUT_BYTES", 1 << 40)
+    replay(None, root, pages_path=pages, cfg=rcfg)
+    bounds = []
+    for s in range(cfg.n_shards):  # in the driver: one L0 file per epoch
+        ev = generate_event_shard(cfg, s)
+        _write_wal(str(tmp_path / "wal"), f"events-{s:05d}.parquet", ev)
+        replay(str(tmp_path / "wal"), root, cfg=rcfg)
+        bounds.append(pc.max(ev["txn_id"]).as_py())
+    monkeypatch.setattr(manifest, "LOCAL_INPUT_BYTES", cutoff)
+    lake = Lake(root)
+    l0 = {f for f in lake.all_files() if "/l0/" in f}
+    assert len(l0) == cfg.n_shards
+    assert all(lake.manifest(p)["n_deltas"] == cfg.n_shards for p in range(P))
+
+    calls: list[list] = []  # reads per call (driver) or per task
+    backend = type(lake.fs)
+    read = backend.read_parquet
+
+    def recording(self, path, columns=None, **kw):
+        calls[-1].append((path, None if columns is None else tuple(columns)))
+        return read(self, path, columns, **kw)
+
+    def submit_in_process(fn, jobs, per_job):  # one share = one task
+        k = min(len(jobs), 4)
+        cuts = [len(jobs) * i // k for i in range(k + 1)]
+        refs = []
+        for a, b in zip(cuts, cuts[1:]):
+            calls.append([])
+            out = manifest._run_jobs(fn, jobs[a:b])
+            refs += [ray.put(r) for r in out] if per_job else [ray.put(out)]
+        return refs
+
+    monkeypatch.setattr(backend, "read_parquet", recording)
+    monkeypatch.setattr(manifest, "_submit_jobs", submit_in_process)
+
+    def once(op):
+        calls.clear()
+        calls.append([])
+        out = op()
+        reads = [r for c in calls for r in c]
+        for c in calls:
+            assert len(c) == len(set(c)), sorted(c)
+        assert l0 <= {p for p, _ in reads}  # every L0 file was read
+        return out
+
+    now, then = _oracle(cfg, cfg.n_shards), _oracle(cfg, 1)
+    keys = list(now["url"][::5])
+    got = once(lambda: lake.lookup(keys + [ABSENT]))
+    want = now.set_index("url")
+    assert sorted(got["url"].to_pylist()) == sorted(keys)
+    assert all(want.loc[u, "text"] == t for u, t in
+               zip(got["url"].to_pylist(), got["text"].to_pylist()))
+
+    n = once(lambda: lake.dataset(columns=["url", "lang"],
+                                  predicate=[("txn_id", ">", bounds[0])])
+             .count())
+    assert n == int((now["txn_id"] > bounds[0]).sum())
+
+    feed = once(lambda: lake.changes_table(since_txn=bounds[0]))
+    old = dict(zip(then["url"], zip(then["txn_id"], then["seq"])))
+    new = dict(zip(now["url"], zip(now["txn_id"], now["seq"])))
+    want_feed = ({(u, "insert") for u in new.keys() - old.keys()}
+                 | {(u, "delete") for u in old.keys() - new.keys()}
+                 | {(u, "update") for u in new.keys() & old.keys()
+                    if new[u] != old[u]})
+    assert set(zip(feed["url"].to_pylist(),
+                   feed["_change_type"].to_pylist())) == want_feed
+
+    assert once(lambda: lake.compact_all()) == P
+    assert {f for f in lake.all_files() if "/l0/" in f} == set()
+    got = lake.read_all().to_pandas().sort_values("url")
+    assert got["url"].tolist() == now["url"].tolist()
+    assert got["text"].tolist() == now["text"].tolist()

@@ -166,6 +166,43 @@ def test_commit_label_dedup(tmp_path):
     assert len(lake.versions()) == 1  # skipped entries write no snapshot
 
 
+def test_commit_label_skip_keeps_a_shared_file(tmp_path):
+    """Entries that share one staged L0 file: when some are replayed labels
+    (skipped) and others commit, the file is kept and finalized for the
+    committed ones; when every entry is skipped, the staged file is
+    deleted."""
+    lake = Lake(str(tmp_path / "l"))
+    schema = pa.schema([("url", pa.string()), ("txn_id", pa.int64()),
+                        ("seq", pa.int64()), ("op", pa.string())])
+    lake.init(2, schema)
+    rows = {p: pa.table({"url": [f"u{p}"], "txn_id": [3], "seq": [0],
+                         "op": ["I"]}, schema=schema) for p in (0, 1)}
+    base = [{**lake.write_staged("r1", p, rows[p]), "txn_hi": 3,
+             "mode": "rewrite"} for p in (0, 1)]
+    assert lake.commit(base, "r1") == ["committed"] * 2
+    new = {p: pa.table({"url": [f"u{p}"], "txn_id": [5], "seq": [0],
+                        "op": ["U"]}, schema=schema) for p in (0, 1)}
+
+    shared = lake.write_staged_shared("r2", [(0, new[0]), (1, new[1])])
+    assert shared[0]["staged"] == shared[1]["staged"]
+    status = lake.commit([{**shared[0], "txn_hi": 3, "mode": "delta"},
+                          {**shared[1], "txn_hi": 5, "mode": "delta"}], "r2")
+    assert status == ["skipped", "committed"]
+    ref = lake.manifest(1)["files"][-1]
+    assert ref["path"].startswith("l0/") and ref["rows"] == 1
+    assert os.path.exists(os.path.join(lake.root, ref["path"]))
+    got = lake.read_all().sort_by("url")
+    assert got["txn_id"].to_pylist() == [3, 5]
+    lake.cleanup_staging("r2")
+
+    again = lake.write_staged_shared("r3", [(0, new[0]), (1, new[1])])
+    status = lake.commit([{**again[0], "txn_hi": 3, "mode": "delta"},
+                          {**again[1], "txn_hi": 5, "mode": "delta"}], "r3")
+    assert status == ["skipped", "skipped"]
+    assert not os.path.exists(again[0]["staged"][0])
+    assert lake.manifest(1)["files"][-1] == ref
+
+
 def test_old_format_lake_refused(tmp_path):
     """A lake of the per-partition manifest format (no "format" field in
     _meta.json) is refused with a clear error, not misread."""
@@ -308,3 +345,21 @@ def test_two_level_exchange_unit_semantics(tmp_path):
         got = {m["partition"]: m["sum"]
                for m in direct_exchange(blocks, p, merge_fn, {})}
         assert got == want, p
+
+
+def test_format_2_lake_refused(tmp_path):
+    """A format-2 lake (one data file per partition and delta) is refused
+    with a clear error: its snapshots hold no shared-file refs."""
+    import json
+
+    lake = Lake(str(tmp_path / "l"))
+    lake.init(2, pa.schema([("url", pa.string()), ("txn_id", pa.int64())]))
+    path = os.path.join(lake.root, "_meta.json")
+    with open(path) as f:
+        meta = json.load(f)
+    meta["format"] = 2
+    with open(path, "w") as f:
+        json.dump(meta, f)
+    with pytest.raises(RuntimeError,
+                       match="format 2 .*per partition and delta.*new lake root"):
+        Lake(lake.root).watermarks()

@@ -439,9 +439,9 @@ def test_watermark_commits_make_no_txn_dir(pages, shards, tmp_path, scheme,
     calls = []
     real = Lake.commit
 
-    def commit(self, staged, run_id, advance_to=None):
+    def commit(self, staged, run_id, advance_to=None, **kw):
         calls.append((len(staged), advance_to))
-        return real(self, staged, run_id, advance_to)
+        return real(self, staged, run_id, advance_to, **kw)
 
     monkeypatch.setattr(Lake, "commit", commit)
     ev = shards[0]

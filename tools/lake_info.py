@@ -1,6 +1,7 @@
-"""Lake inspection CLI: snapshot, partitions, watermarks, delta depth, rows,
-bytes, recent runs — the operational visibility surface (counters/logStatistics
-analog, JobContainer.logStatistics:538-593).
+"""Lake inspection CLI: snapshot, partitions, watermarks, distinct data
+files (shared L0 and per-partition), delta depth, rows, bytes, recent runs
+— the operational visibility surface (counters/logStatistics analog,
+JobContainer.logStatistics:538-593).
 
 Usage: python tools/lake_info.py /path/to/lake [--runs N] [--compact]
        [--lag /path/to/events_dir]
@@ -67,10 +68,15 @@ def main() -> None:
               f"pending_files={r.pending_files} "
               f"pending_rows<=~{r.pending_rows_hint:,} "
               f"partitions_skewed={r.partitions_skewed}")
-    print(f"files: {sum(len(e['files']) for e in parts.values())}  "
-          f"delta files: {sum(e['n_deltas'] for e in parts.values())}  "
-          f"last-commit rows: {sum(e['row_count'] for e in parts.values()):,}  "
-          f"bytes: {sum(e['num_bytes'] for e in parts.values()):,}")
+    files = lake.all_files()  # each live data file once
+    l0 = [f for f in files if os.path.basename(f).startswith("l0-")]
+    print(f"data files: {len(files)} ({len(l0)} shared L0, "
+          f"{len(files) - len(l0)} per-partition)  "
+          f"on-disk bytes: {sum(map(lake.fs.size, files)):,}")
+    print(f"refs: {sum(len(e['files']) for e in parts.values())}  "
+          f"delta refs: {sum(e['n_deltas'] for e in parts.values())}  "
+          f"delta bytes: {sum(map(lake._delta_bytes, parts.values())):,}  "
+          f"last-commit rows: {sum(e['row_count'] for e in parts.values()):,}")
     runs_dir = os.path.join(lake.base, "_runs")
     if lake.fs.isdir(runs_dir):
         runs = sorted(lake.fs.list_names(runs_dir),
