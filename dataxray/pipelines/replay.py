@@ -332,7 +332,7 @@ def replay(
     # layout cache keeps the meta, and the commit takes the snapshot
     meta, snap = None, None
     if not bootstrap:
-        meta = lake._layout = lake.meta()
+        meta = lake._meta_cached()
         lake.validate_partitioner(meta)
         from .maintenance import sweep_staging
 
