@@ -194,7 +194,12 @@ def pairs_from_buckets(hot_ds, key_col: str, pair_fn,
                                  pa.concat_tables(outs))
 
         refs = list(hot_ds.to_arrow_refs())
-        return ray.data.from_arrow_refs([expand.remote(*refs)])
+        out = [expand.remote(*refs)]
+        # settle the ref before building a Dataset over it (see
+        # manifest.jobs_dataset: a Ray core ref-count race on still-pending
+        # task outputs)
+        ray.wait(out, num_returns=1, fetch_local=False)
+        return ray.data.from_arrow_refs(out)
 
     pairs = hot_ds.groupby(key_col).map_groups(pair_fn, batch_format="pyarrow")
     return tree_distinct(pairs, keys, combine=combine or None)
@@ -811,6 +816,7 @@ def embedding_dup_pairs(ds, threshold: float = 0.3, id_col: str = "vec_id",
 
     out = [cross.remote(refs[i], refs[j], i == j)
            for i in range(len(refs)) for j in range(i, len(refs))]
+    ray.wait(out, num_returns=len(out), fetch_local=False)  # as expand's
     return ray.data.from_arrow_refs(out)
 
 

@@ -63,7 +63,8 @@ from ..stages.decode import Validate
 from ..stages.merge import BatchCombiner, lww_reduce, merge_partition
 from ..stages.partition import AssignPartition
 from ..state.checkpoint import RunReport, global_low_watermark
-from ..state.manifest import Lake, entries, in_driver, read_once
+from ..state.manifest import (Lake, entries, in_driver, read_once,
+                              rewrites_base)
 
 THROTTLE_BATCH = 8192  # rows per RateLimiter call
 
@@ -74,7 +75,9 @@ class ReplayConfig:
     batch_size: int | None = 32_768
     sink_mode: str = "rewrite"  # "delta": append per-epoch LWW winners, resolve on read
     history: bool = False  # retain every committed version (time travel / CDF)
-    compact_threshold: int = 8  # delta files per partition before auto-compaction
+    # deltas per partition at which they are merged into one, or its base
+    # rewritten once they reach 1/SIZE_RATIO of it (manifest.rewrites_base)
+    compact_threshold: int = 8
     error_limit: ErrorLimit = ErrorLimit()
     dirty_dir: str | None = None
     stall_timeout_sec: float | None = None  # per-partition merge watchdog
@@ -112,9 +115,14 @@ def _merge_tables(p: int, tables: list[pa.Table], lake_root: str, run_id: str,
     sink_mode="rewrite": fold in current state, produce the resolved
     partition (one base file). sink_mode="delta": write ONLY this epoch's
     LWW winners (tombstones included) as an appended delta — the state is
-    never read, so an epoch touching k rows costs O(k), not O(partition);
-    when the partition accumulates compact_threshold deltas the task
-    compacts (full merge + rewrite) instead.
+    never read, so an epoch touching k rows costs O(k), not O(partition).
+    When its next delta would reach compact_threshold, the partition
+    merges its deltas instead (the LSM tiering step): their rows and this
+    epoch's events, LWW-reduced with tombstones kept, become ONE delta that
+    replaces them (``replaces``), so the base is not read. Only once the
+    deltas reach 1/SIZE_RATIO of the base's bytes (manifest.rewrites_base,
+    the leveling step) is the partition rewritten: a full merge into a new
+    base. compact_threshold=1 always rewrites.
 
     ``shared`` (the driver's merges only): a delta is not written here but
     appended to it as (metadata, table); the replay then stages all of the
@@ -140,12 +148,18 @@ def _merge_tables(p: int, tables: list[pa.Table], lake_root: str, run_id: str,
     part_lake = Lake(lake_root)
     txn_hi = max(watermark, pc.max(events["txn_id"]).as_py())
     entry = parts.get(p)
-    use_delta = (
-        sink_mode == "delta"
-        and entry is not None  # first write of a partition is its base
-        and entry["n_deltas"] + 1 < compact_threshold
-    )
+    # the first write of a partition is its base
+    use_delta = sink_mode == "delta" and entry is not None
+    replaces = 0  # the delta refs a merged delta replaces
+    if use_delta and entry["n_deltas"] + 1 >= compact_threshold:
+        use_delta = compact_threshold > 1 and not rewrites_base(entry)
+        replaces = entry["n_deltas"] if use_delta else 0
     if use_delta:
+        if replaces:
+            deltas = part_lake.read_state(p, files=[
+                part_lake._ref(f) for f in entry["files"][-replaces:]])
+            events = pa.concat_tables([align_table(deltas, target),
+                                       align_table(events, target)])
         merged = lww_reduce(events)  # winners incl. tombstones, op kept
         mode = "delta"
     else:
@@ -156,6 +170,8 @@ def _merge_tables(p: int, tables: list[pa.Table], lake_root: str, run_id: str,
     out = {"partition": p, "txn_hi": txn_hi, "row_count": len(merged),
            "num_bytes": merged.nbytes, "noop": False, "mode": mode,
            "n_events": n_events}
+    if replaces:
+        out["replaces"] = replaces
     if mode == "delta" and shared is not None:
         shared.append((out, merged))
     else:

@@ -52,6 +52,13 @@ import pyarrow.parquet as pq
 from pyarrow.fs import FileInfo, FileSystemHandler, FileType
 
 
+def _dumps(obj: dict) -> str:
+    """A JSON object (snapshots, meta, run reports) in compact form: any
+    ``indent`` makes json use its pure-Python encoder, about 5x slower on
+    a 24 KB snapshot than the C one."""
+    return json.dumps(obj, separators=(",", ":"))
+
+
 def _read_file(path: str, columns: list[str] | None, filesystem,
                row_groups=None) -> pa.Table:
     """One Parquet file, opened as a ``pq.ParquetFile`` and closed after the
@@ -136,7 +143,7 @@ class LocalLakeFS:
         """Atomic visibility via write-tmp + fsync + rename."""
         tmp = f"{path}.tmp-{uuid.uuid4().hex}"
         with open(tmp, "w") as f:
-            json.dump(obj, f, indent=1)
+            f.write(_dumps(obj))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -233,7 +240,7 @@ class ObjectLakeFS:
         # single-object PUT — atomic on real object stores (readers never
         # see a torn object); label dedup happens before this call, so
         # last-writer-wins visibility is safe for the single-writer lake
-        payload = json.dumps(obj, indent=1).encode()
+        payload = _dumps(obj).encode()
         self.pafs.create_dir(os.path.dirname(path), recursive=True)
         with self.pafs.open_output_stream(path) as f:
             f.write(payload)

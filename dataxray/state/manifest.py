@@ -54,7 +54,8 @@ Layout (format 3):
       (generation k > 0: g000k-part=00007/…, g000k-l0/…)
 
 Per partition the snapshot records its file refs (base first, then
-deltas), ``n_deltas``, ``txn_hi`` (its applied watermark) and ``data_txn``
+deltas), ``n_deltas``, ``base_bytes`` (its base file's size, recorded when
+the base is written), ``txn_hi`` (its applied watermark) and ``data_txn``
 (the txn_hi of its last data write: which partitions changed after a txn).
 A ref is a lake-relative path (the whole file: a base file, or a
 distributed merge's one-partition delta as ``{path, bytes}``) or a slice
@@ -68,10 +69,21 @@ driver writes its partitions' LWW winners as ONE file sorted by partition,
 small slices packed into row groups of up to ROW_GROUP_ROWS rows and a
 larger slice in row groups of its own; rewrites and compactions write one
 base file per partition, so compaction turns L0 slices into L1 base files.
-Garbage collection is a file-set difference of snapshots, so an L0 file
-dies with the last partition that refers to it. Reads of a shared file go
-through read_once: within one read call each (file, row groups, columns)
-is decoded once, whatever the number of partitions that refer to it.
+A delta-sink partition compacts in two steps (pipelines/replay.py
+_merge_tables), the lazy leveling of Dayan & Idreos (Dostoevsky, SIGMOD
+2018). When its next delta would reach compact_threshold, it merges its
+deltas and the epoch's events into ONE delta (tiering: only the small runs
+are read and written; the new delta is a slice of the epoch's L0 file like
+any other, committed with ``replaces``). It rewrites its base (leveling)
+only once its delta bytes reach 1/SIZE_RATIO of its ``base_bytes``
+(rewrites_base). So no snapshot holds more than compact_threshold - 1
+deltas for a partition, its deltas hold up to about 1/SIZE_RATIO of its
+base's bytes besides it, and a base is rewritten once per base/SIZE_RATIO
+bytes of deltas instead of once per compact_threshold epochs. Garbage
+collection is a file-set difference of snapshots, so an L0 file dies with
+the last partition that refers to it. Reads of a shared file go through
+read_once: within one read call each (file, row groups, columns) is
+decoded once, whatever the number of partitions that refer to it.
 Format 2 (one file per partition and delta) and format 1 are refused.
 
 Storage is abstracted behind ``state.lakefs``: a plain path commits via
@@ -110,6 +122,11 @@ FORMAT = 3
 # and a larger slice gets row groups of its own, so its partition's reads
 # decode only those
 ROW_GROUP_ROWS = 1 << 16
+# the size ratio between a partition's base and its deltas (lazy leveling):
+# when its next delta would reach compact_threshold, a partition merges its
+# deltas into one, and rewrites its base only once its delta bytes reach
+# 1/SIZE_RATIO of its base bytes (rewrites_base)
+SIZE_RATIO = 2
 _CURRENT = object()  # Lake.commit's default base: read the current snapshot
 
 
@@ -188,6 +205,15 @@ def entries(snap: dict | None) -> dict[int, dict]:
     if snap is None:
         return {}
     return {p: e for p, e in enumerate(snap["partitions"]) if e is not None}
+
+
+def rewrites_base(e: dict) -> bool:
+    """Whether partition entry ``e``'s next compaction — the epoch whose
+    delta would reach compact_threshold — rewrites its base (its delta
+    bytes reach 1/SIZE_RATIO of its base bytes) rather than merging its
+    deltas into one. An entry that records no base bytes (written before
+    they were recorded, or with no base) rewrites."""
+    return SIZE_RATIO * Lake._delta_bytes(e) >= e.get("base_bytes", 0)
 
 
 def one_layout(lake: Lake, old: dict | None, new: dict | None) -> None:
@@ -787,8 +813,10 @@ class Lake:
         resolved against older files at read time (an epoch touching 1% of
         a partition writes 1%, not 100%); an entry with a ``slice``
         (write_staged_shared) refers to that slice of a staged file it
-        shares with other entries, finalized once. mode="compact": they
-        replace the files at the SAME txn_hi (resolving deltas changes
+        shares with other entries, finalized once; a delta entry with
+        ``replaces`` = k (a delta merge) swaps the partition's last k refs
+        for its own, so n_deltas becomes n_deltas - k + 1. mode="compact":
+        they replace the files at the SAME txn_hi (resolving deltas changes
         layout, not state) — exempt from the monotonic label, and the
         partition's data_txn stays. A skipped entry's staged file is
         deleted unless a committed entry refers to it.
@@ -836,9 +864,14 @@ class Lake:
                              {"path": final[s], "bytes": int(m["bytes"]),
                               **m.get("slice", {})})
             append = mode == "delta" and old is not None
+            k = int(m.get("replaces", 0)) if append else 0  # a delta merge
             parts[p] = {
-                "files": old["files"] + files if append else files,
-                "n_deltas": old["n_deltas"] + 1 if append else 0,
+                "files": old["files"][:len(old["files"]) - k] + files
+                if append else files,
+                "n_deltas": old["n_deltas"] - k + 1 if append else 0,
+                # a base's size, recorded when it is written (rewrites_base)
+                "base_bytes": old.get("base_bytes", 0) if append
+                else int(m.get("bytes", 0)),
                 "txn_hi": txn,
                 "data_txn": old["data_txn"] if mode == "compact" else txn,
                 "row_count": int(m["row_count"]),
@@ -1095,8 +1128,9 @@ class Lake:
                     dest = os.path.join(final_dir, os.path.basename(sf))
                     self.fs.finalize(sf, dest, keep_src=True)
                     files.append(os.path.relpath(dest, self.base))
-            parts.append({"files": files, "n_deltas": 0, "txn_hi": boundary,
-                          "data_txn": boundary,
+            parts.append({"files": files, "n_deltas": 0,
+                          "base_bytes": s["bytes"] if s else 0,
+                          "txn_hi": boundary, "data_txn": boundary,
                           "row_count": s["row_count"] if s else 0,
                           "num_bytes": s["num_bytes"] if s else 0,
                           "mode": "evolve"})

@@ -4,13 +4,14 @@ An epoch commits as one snapshot PUT (state/manifest.py), so a crash can
 leave an epoch either wholly uncommitted or wholly committed, never in
 part. The failpoints of the commit protocol — staged write, finalize,
 snapshot PUT, history PUT, GC, staging cleanup — are each crashed at on
-both backends, in an epoch of rewrites, in a delta epoch (one shared L0
-file), in a mixed epoch (some partitions append to the L0 file while
-others compact) and in a compact_all; resume must reach the oracle LWW
-state with no lost or duplicate rows and re-fold the base pages when the
-bootstrap never committed (bootstrap_pages in lake _meta), and the next
-sweep leaves no orphan file. A reader running at each failpoint sees the
-whole epoch or none of it."""
+both backends, in an epoch of base rewrites, in a delta epoch (one shared
+L0 file), in a delta-merge epoch (every partition merges its deltas into
+one slice of the epoch's L0 file), in a mixed epoch (append, delta merge
+and base rewrite in one commit) and in a compact_all; resume must reach
+the oracle LWW state with no lost or duplicate rows and re-fold the base
+pages when the bootstrap never committed (bootstrap_pages in lake _meta),
+and the next sweep leaves no orphan file. A reader running at each
+failpoint sees the whole epoch or none of it."""
 
 import os
 import shutil
@@ -150,19 +151,24 @@ DURABLE = {"snapshot", "history", "gc", "cleanup"}
 @pytest.mark.parametrize("step,hit,history", MATRIX)
 def test_crash_point_matrix(data_dir, tmp_path, monkeypatch, scheme, step,
                             hit, history):
-    """Crash a delta-sink epoch (which also compacts partitions at their
-    second delta) at each step of its commit, resume, and reach the oracle
-    with every event applied exactly once; the next sweep leaves no
-    orphan file."""
+    """Crash a base-rewrite epoch — every partition's two deltas reach
+    compact_threshold (3) and half its base's bytes, so each rewrites its
+    base — at each step of its commit, resume, and reach the oracle with
+    every event applied exactly once; the next sweep leaves no orphan
+    file."""
     lake_dir = scheme + str(tmp_path / "lake")
     cfg = ReplayConfig(num_partitions=8, sink_mode="delta",
-                       compact_threshold=2, history=history)
+                       compact_threshold=3, history=history)
     wal = _wal(data_dir, tmp_path, [0])
     replay(wal, lake_dir, pages_path=os.path.join(data_dir, "pages.parquet"),
            cfg=cfg)
-    replay(_wal(data_dir, tmp_path, [1]), lake_dir, cfg=cfg)
+    for s in (1, 2):
+        replay(_wal(data_dir, tmp_path, [s]), lake_dir, cfg=cfg)
+    snap = Lake(lake_dir).snapshot()
+    assert all(e["n_deltas"] == 2 and M.rewrites_base(e)
+               for e in M.entries(snap).values())
     before = Lake(lake_dir).watermarks()
-    _wal(data_dir, tmp_path, [2, 3])
+    _wal(data_dir, tmp_path, [3])
 
     _crash_at(monkeypatch, step, hit)
     with pytest.raises(Crash):
@@ -170,16 +176,20 @@ def test_crash_point_matrix(data_dir, tmp_path, monkeypatch, scheme, step,
     monkeypatch.undo()
     durable = step in DURABLE
     assert (Lake(lake_dir).watermarks() != before) == durable
-    _assert_oracle(_state(lake_dir), _oracle(4 if durable else 2))
+    _assert_oracle(_state(lake_dir), _oracle(4 if durable else 3))
 
     rep = replay(wal, lake_dir, cfg=cfg)
-    new_events = sum(len(generate_event_shard(CFG, s)) for s in (2, 3))
-    assert rep.read_succeed_records == (0 if durable else new_events)
+    assert rep.read_succeed_records == \
+        (0 if durable else len(generate_event_shard(CFG, 3)))
     lake = Lake(lake_dir)
+    assert all((e["mode"], e["n_deltas"]) == ("rewrite", 0)
+               for e in M.entries(lake.snapshot()).values())
     _assert_oracle(_state(lake_dir), _oracle(4))
     _assert_no_duplicates(lake)
     sweep_staging(lake_dir, max_age_sec=0)
     _assert_no_orphans(lake)
+    if not history:  # no partition refers to an L0 file any more
+        assert _l0_files(lake) == set()
     _assert_oracle(_state(lake_dir), _oracle(4))
 
 
@@ -280,6 +290,64 @@ def test_crash_point_matrix_delta_epoch(data_dir, tmp_path, monkeypatch,
     _assert_oracle(_state(lake_dir), _oracle(4))
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("step,history", DELTA_MATRIX)
+def test_crash_point_matrix_delta_merge(data_dir, tmp_path, monkeypatch,
+                                        scheme, step, history):
+    """Crash a delta-merge epoch — every partition's next delta reaches
+    compact_threshold (2) while its delta bytes stay below half its base's,
+    so it merges its delta and the epoch's events into one slice of the
+    epoch's L0 file — at each step of its commit. Resume reaches the oracle
+    with every event applied once; each partition keeps its base and holds
+    one delta, and on a lake without history the sweep leaves only the new
+    L0 file (the replaced one is garbage)."""
+    lake_dir = scheme + str(tmp_path / "lake")
+    cfg = ReplayConfig(num_partitions=8, sink_mode="delta",
+                       compact_threshold=2, history=history)
+    wal = _wal(data_dir, tmp_path, [0])
+    replay(wal, lake_dir, pages_path=os.path.join(data_dir, "pages.parquet"),
+           cfg=cfg)
+    replay(_wal(data_dir, tmp_path, [1]), lake_dir, cfg=cfg)
+    parts = M.entries(Lake(lake_dir).snapshot())
+    assert not any(map(M.rewrites_base, parts.values()))
+    bases = {p: e["files"][:-1] for p, e in parts.items()}
+    before = Lake(lake_dir).watermarks()
+    old_l0 = _l0_files(Lake(lake_dir))
+    _wal(data_dir, tmp_path, [2, 3])
+
+    steps = []
+
+    def failpoint(name):
+        steps.append(name)
+        if name == step:
+            raise Crash(name)
+
+    monkeypatch.setattr(M, "failpoint", failpoint)
+    with pytest.raises(Crash):
+        replay(wal, lake_dir, cfg=cfg)
+    monkeypatch.undo()
+    assert steps.count("staged") == 1 and steps.count("finalize") <= 1
+    durable = step in DURABLE
+    assert (Lake(lake_dir).watermarks() != before) == durable
+    _assert_oracle(_state(lake_dir), _oracle(4 if durable else 2))
+
+    rep = replay(wal, lake_dir, cfg=cfg)
+    new_events = sum(len(generate_event_shard(CFG, s)) for s in (2, 3))
+    assert rep.read_succeed_records == (0 if durable else new_events)
+    lake = Lake(lake_dir)
+    for p, e in M.entries(lake.snapshot()).items():
+        assert (e["mode"], e["n_deltas"], e["files"][:-1]) == \
+            ("delta", 1, bases[p])
+    _assert_oracle(_state(lake_dir), _oracle(4))
+    _assert_no_duplicates(lake)
+    sweep_staging(lake_dir, max_age_sec=0)
+    _assert_no_orphans(lake)
+    new_l0 = _l0_files(lake) - old_l0
+    assert len(new_l0) == 1
+    assert _l0_files(lake) == (old_l0 | new_l0 if history else new_l0)
+    _assert_oracle(_state(lake_dir), _oracle(4))
+
+
 def _half_compacted(lake_dir: str) -> None:
     """Compact about half of the partitions (those with the most delta
     bytes): the others keep their slice of the L0 file."""
@@ -292,35 +360,44 @@ def _half_compacted(lake_dir: str) -> None:
 @pytest.mark.parametrize("step", ["finalize", "snapshot", "gc", "cleanup"])
 def test_crash_mixed_epoch(data_dir, tmp_path, monkeypatch, scheme, step):
     """A mixed epoch: the partitions compacted before it append their slice
-    of the epoch's L0 file, the others reach compact_threshold and rewrite.
-    Crashed at each step of its commit, it resumes to the oracle, and the
-    sweep leaves exactly the files the snapshot references: the older L0
-    file dies once its last partition is rewritten."""
+    of the epoch's L0 file; of the others, which reach compact_threshold,
+    those whose merged delta (shards 1 and 2) reached half their base's
+    bytes rewrite their base, and the rest merge that delta with the
+    epoch's events into one slice of the epoch's L0 file. Crashed at each
+    step of its commit, it resumes to the oracle, and the sweep leaves
+    exactly the files the snapshot references: the older L0 file dies once
+    its last partition is rewritten or merged."""
     lake_dir = scheme + str(tmp_path / "lake")
     cfg = ReplayConfig(num_partitions=8, sink_mode="delta",
                        compact_threshold=2)
     wal = _wal(data_dir, tmp_path, [0])
     replay(wal, lake_dir, pages_path=os.path.join(data_dir, "pages.parquet"),
            cfg=cfg)
-    replay(_wal(data_dir, tmp_path, [1]), lake_dir, cfg=cfg)
+    for s in (1, 2):  # the second epoch merges every partition's deltas
+        replay(_wal(data_dir, tmp_path, [s]), lake_dir, cfg=cfg)
     _half_compacted(lake_dir)
+    want = {p: "append" if e["n_deltas"] == 0
+            else "rewrite" if M.rewrites_base(e) else "merge"
+            for p, e in M.entries(Lake(lake_dir).snapshot()).items()}
+    assert set(want.values()) == {"append", "merge", "rewrite"}, want
     old_l0 = _l0_files(Lake(lake_dir))
     assert len(old_l0) == 1
-    _wal(data_dir, tmp_path, [2, 3])
+    _wal(data_dir, tmp_path, [3])
 
     _crash_at(monkeypatch, step)
     with pytest.raises(Crash):
         replay(wal, lake_dir, cfg=cfg)
     monkeypatch.undo()
     durable = step in DURABLE
-    _assert_oracle(_state(lake_dir), _oracle(4 if durable else 2))
+    _assert_oracle(_state(lake_dir), _oracle(4 if durable else 3))
 
     rep = replay(wal, lake_dir, cfg=cfg)
-    new_events = sum(len(generate_event_shard(CFG, s)) for s in (2, 3))
-    assert rep.read_succeed_records == (0 if durable else new_events)
+    assert rep.read_succeed_records == \
+        (0 if durable else len(generate_event_shard(CFG, 3)))
     lake = Lake(lake_dir)
-    modes = {e["mode"] for e in M.entries(lake.snapshot()).values()}
-    assert modes == {"delta", "rewrite"}
+    for p, e in M.entries(lake.snapshot()).items():
+        assert (e["mode"], e["n_deltas"]) == \
+            (("rewrite", 0) if want[p] == "rewrite" else ("delta", 1)), p
     _assert_oracle(_state(lake_dir), _oracle(4))
     _assert_no_duplicates(lake)
     sweep_staging(lake_dir, max_age_sec=0)

@@ -223,3 +223,78 @@ def test_large_slices_get_row_groups_of_their_own(tmp_path, scheme,
     for p, t in rows.items():
         assert lake.read_state_raw(p).equals(t)
     assert groups == [[0], [0], [1, 2, 3], [4]]
+
+
+# one WAL shard per epoch, 3 x compact_threshold epochs; each shard touches
+# a small share of its partition's urls, so the deltas reach 1/SIZE_RATIO
+# of a base only after a few epochs
+MERGE_CFG = GenConfig(n_urls=800, n_events=1_800, n_shards=9, html_mean=512,
+                      zipf_s=1.2)
+MERGE_THRESHOLD = 3
+
+
+def test_delta_merge_bounds_deltas_and_rewrites_by_size(executor, tmp_path,
+                                                        monkeypatch, scheme):
+    """At compact_threshold a partition merges its deltas into one delta
+    while their bytes stay below 1/SIZE_RATIO of its base's, and rewrites
+    its base once they reach it — as rewrites_base predicts from the
+    snapshot before each epoch, and both happen in the run. No retained
+    snapshot holds a partition with more than compact_threshold - 1
+    deltas, and the lake equals sequential_oracle after every epoch. In
+    the driver an epoch reads each (file, row groups, columns) of the lake
+    at most once, so the partitions merging slices of one L0 file decode
+    it once between them (merge tasks run in worker processes, whose
+    reads are not recorded here)."""
+    from dataxray.state import manifest as M
+
+    src = str(tmp_path / "data")
+    write_dataset(src, MERGE_CFG, parallel=False)
+    root = scheme + str(tmp_path / "lake")
+    cfg = ReplayConfig(num_partitions=4, sink_mode="delta", history=True,
+                       compact_threshold=MERGE_THRESHOLD)
+    replay(None, root, pages_path=os.path.join(src, "pages.parquet"), cfg=cfg)
+    lake = Lake(root)
+    reads = []
+    backend = type(lake.fs)
+    read = backend.read_parquet
+
+    def recording(self, path, columns=None, **kw):
+        if path.startswith(lake.base):
+            reads.append((path, kw.get("row_groups") and tuple(kw["row_groups"]),
+                          columns and tuple(columns)))
+        return read(self, path, columns, **kw)
+
+    monkeypatch.setattr(backend, "read_parquet", recording)
+    wal = tmp_path / "wal"
+    wal.mkdir()
+    seen = set()
+    for s in range(MERGE_CFG.n_shards):
+        before = M.entries(lake.snapshot())
+        want = {p: "append" if e["n_deltas"] + 1 < MERGE_THRESHOLD
+                else "rewrite" if M.rewrites_base(e) else "merge"
+                for p, e in before.items()}
+        shutil.copy(os.path.join(src, "events", f"events-{s:05d}.parquet"), wal)
+        reads.clear()
+        replay(str(wal), root, cfg=cfg)
+        after = M.entries(lake.snapshot())
+        for p, how in want.items():
+            n = {"append": before[p]["n_deltas"] + 1, "merge": 1,
+                 "rewrite": 0}[how]
+            assert (after[p]["mode"], after[p]["n_deltas"]) == \
+                ("rewrite" if how == "rewrite" else "delta", n), (s, p, how)
+            if how == "merge":  # the base is kept, one delta replaces all
+                assert after[p]["files"][:-1] == before[p]["files"][:-before[p]["n_deltas"]]
+        seen |= set(want.values())
+        if executor == "local":
+            assert len(reads) == len(set(reads)), sorted(reads)
+        events = pa.concat_tables(
+            [generate_event_shard(MERGE_CFG, i) for i in range(s + 1)],
+            promote_options="permissive")
+        want_df = sequential_oracle(generate_pages(MERGE_CFG), events)
+        got = lake.read_all().to_pandas().sort_values("url").reset_index(drop=True)
+        assert got["url"].tolist() == want_df["url"].tolist()
+        assert got["text"].tolist() == want_df["text"].tolist()
+        assert got["txn_id"].tolist() == want_df["txn_id"].tolist()
+    assert seen == {"append", "merge", "rewrite"}
+    assert max(e["n_deltas"] for v in lake.versions()
+               for e in M.entries(v).values()) == MERGE_THRESHOLD - 1

@@ -1,7 +1,7 @@
 """Lake inspection CLI: snapshot, partitions, watermarks, distinct data
-files (shared L0 and per-partition), delta depth, rows, bytes, recent runs
-— the operational visibility surface (counters/logStatistics analog,
-JobContainer.logStatistics:538-593).
+files (shared L0 and per-partition), delta depth, rows, bytes, each
+partition's compaction state, recent runs — the operational visibility
+surface (counters/logStatistics analog, JobContainer.logStatistics:538-593).
 
 Usage: python tools/lake_info.py /path/to/lake [--runs N] [--compact]
        [--lag /path/to/events_dir]
@@ -17,7 +17,7 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from dataxray.state.manifest import Lake, entries  # noqa: E402
+from dataxray.state.manifest import Lake, entries, rewrites_base  # noqa: E402
 
 
 def main() -> None:
@@ -77,6 +77,14 @@ def main() -> None:
           f"delta refs: {sum(e['n_deltas'] for e in parts.values())}  "
           f"delta bytes: {sum(map(lake._delta_bytes, parts.values())):,}  "
           f"last-commit rows: {sum(e['row_count'] for e in parts.values()):,}")
+    # what the epoch whose delta reaches compact_threshold does: merge the
+    # deltas into one, or rewrite the base (their bytes reach 1/SIZE_RATIO
+    # of the base's)
+    print("compaction state (base bytes, delta bytes, deltas, at the threshold):")
+    for p, e in sorted(parts.items()):
+        print(f"  part {p:5d}: base {e.get('base_bytes', 0):>12,}  "
+              f"deltas {lake._delta_bytes(e):>12,} in {e['n_deltas']:3d}  "
+              + ("rewrite base" if rewrites_base(e) else "merge deltas"))
     runs_dir = os.path.join(lake.base, "_runs")
     if lake.fs.isdir(runs_dir):
         runs = sorted(lake.fs.list_names(runs_dir),
