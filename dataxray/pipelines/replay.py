@@ -11,38 +11,42 @@ crossed with otsstreamreader's checkpointed change-stream replay (§3.3):
       → direct_exchange                 # THE shuffle (stages/exchange.py)
           _AssignCombineFuse:  AssignPartition  # _part = hash(url) % P
                                → BatchCombiner  # pre-shuffle LWW combiner
-          split_by_part / √P coarse groups → per-partition slices
+          split_by_part → per-partition slices, folded to their winners
           _merge_tables                 # per-partition LWW merge + stage-write
       → driver: one label-deduped snapshot commit per epoch (exactly-once)
 
-Two executors run that same chain of stage callables, chosen per epoch by
-state/manifest.py:in_driver, the one rule the lake's read paths use too:
+The chain runs as k shares of the epoch's input units — its WAL files,
+then its base-page row groups — cut into contiguous runs. Each share
+streams: one WAL file (and one base-page row group) at a time is read with
+pyarrow, validated and aligned, then combined and split in batches of
+about cfg.batch_size rows, and each partition's buffered slices are folded
+to their LWW winners as they grow, so a share holds about its winners
+plus one batch, never its whole input. Where it runs is chosen per epoch
+by state/manifest.py:in_driver, the one rule the lake's read paths use
+too:
 
-  * in the driver process when the epoch's input — the footer-known bytes
-    of the WAL files plus base pages being replayed — is at most
-    LOCAL_INPUT_BYTES (1 MiB; e.g. a tail epoch of a few WAL segments), or
-    when no two tasks could run at once (Ray is not up, or the cluster has
-    one CPU). The write path streams: one WAL file (and one base-page row
-    group) at a time is read with pyarrow, validated and aligned, then
-    combined and split in batches of about cfg.batch_size rows, and each
-    partition's buffered slices are folded to their LWW winners as they
-    grow, so the driver holds about the epoch's winners plus one batch,
-    never the whole backlog. No Ray Data plan and
-    no split, fan-out or merge task wave is started: on one CPU those only
-    queue, and on a small epoch they cost several times the work itself.
-  * otherwise distributed. Everything streams through Ray Data map stages
-    into the raw-task two-level exchange; the only driver-side
-    materialization is one small metadata row per touched partition.
+  * in the driver process (k = 1, and the merges run there too) when the
+    epoch's input — the footer-known bytes of the WAL files plus base
+    pages being replayed — is at most LOCAL_INPUT_BYTES (1 MiB; e.g. a
+    tail epoch of a few WAL segments), or when no two tasks could run at
+    once (Ray is not up, or the cluster has one CPU). No Ray task or
+    object is made: on one CPU tasks only queue, and on a small epoch they
+    cost several times the work itself.
+  * otherwise distributed: k = min(cluster CPUs, input units) shard tasks
+    run the same code, each returning its P partitions' winners as P
+    objects, and the P merges run as min(P, CPUs) tasks
+    (state/manifest.py:run_partition_jobs). A speed cap is split evenly
+    over the k shares.
 
 A pass over the byte cutoff is checked against the memory that holds its
 decoded input — the driver's heap, which cannot spill, or the object
 store — and steered to pipelines.tail.replay_chunked when it may not fit.
 
-Both feed the same commit loop, so exactly-once, watermark filtering, the
-dirty side-channel, the error budget and schema evolution have one
-implementation. Untouched partitions are never read or rewritten
-(incremental replay prunes at the file level by the global low watermark
-and per-partition by the snapshot's txn_hi).
+One code path from read to commit, so exactly-once, watermark filtering,
+the dirty side-channel, the error budget and schema evolution have one
+implementation whatever the cluster's size. Untouched partitions are never
+read or rewritten (incremental replay prunes at the file level by the
+global low watermark and per-partition by the snapshot's txn_hi).
 """
 
 from __future__ import annotations
@@ -50,7 +54,8 @@ from __future__ import annotations
 import os
 import time
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -85,20 +90,6 @@ class ReplayConfig:
     # store / destination from a full-speed backfill. None = unthrottled.
     records_per_sec: float | None = None
     bytes_per_sec: float | None = None
-
-
-def _tune_read_parallelism() -> None:
-    """Size read tasks to the cluster: ~2 blocks per CPU. Ray's default floor
-    of 200 read blocks turns this pipeline into hundreds of ~10ms tasks and
-    makes the driver dispatch loop the critical path (measured 2-3x slower).
-    Only overrides the untouched default so callers keep control."""
-    import ray
-    from ray.data import DataContext
-
-    ctx = DataContext.get_current()
-    if ctx.read_op_min_num_blocks == 200 and ray.is_initialized():
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        ctx.read_op_min_num_blocks = max(16, cpus * 2)
 
 
 def _merge_tables(p: int, tables: list[pa.Table], lake_root: str, run_id: str,
@@ -182,9 +173,9 @@ def _merge_tables(p: int, tables: list[pa.Table], lake_root: str, run_id: str,
 
 
 class _AssignCombineFuse:
-    """Per-block assign-partition → drop the events at or below their
-    partition's watermark → LWW-combine, fused into the direct exchange's
-    split step (see direct_exchange fuse_fn). Dropping applied events
+    """Per-table assign-partition → drop the events at or below their
+    partition's watermark → LWW-combine, run on each table of a share
+    before it is split (direct_exchange's fuse_fn). Dropping applied events
     before the combine keeps them out of every winner's ``_cnt``, so the
     applied-event count is exact."""
 
@@ -205,12 +196,12 @@ class _AssignCombineFuse:
 
 
 def _warn_if_backlog_exceeds_memory(nbytes: int, local: bool) -> None:
-    """One replay pass holds its decoded input at once. Distributed, the
-    exchange holds it in the object store, and a backlog much larger than
-    the store spills to disk and collapses throughput ~10x (measured,
-    BASELINE.md). In the driver, the held LWW winners — in a bootstrap,
-    every base page — sit in the driver's heap (Ray's ``memory``
-    resource), which cannot spill. Steer big backlogs to
+    """One replay pass holds its winners at once. Distributed, the shards'
+    slices sit in the object store until the merges take them, and a
+    backlog much larger than the store spills to disk and collapses
+    throughput ~10x (measured, BASELINE.md). In the driver, the held LWW
+    winners — in a bootstrap, every base page — sit in the driver's heap
+    (Ray's ``memory`` resource), which cannot spill. Steer big backlogs to
     pipelines.tail.replay_chunked instead of degrading silently.
     ``nbytes`` is the pass's footer-known input."""
     import warnings
@@ -246,51 +237,20 @@ def _pages_as_events(batch: pa.Table, target: pa.Schema) -> pa.Table:
     return align_table(batch, target)
 
 
-def _event_dataset(streams, target: pa.Schema, dirty_dir, cfg: ReplayConfig):
-    """Distributed executor's input: the streams as one Ray Dataset of
-    validated, aligned events, throttled by a pool of limiter actors."""
-    import ray.data
+def _event_tables(files, ev_schema, pages_path, row_groups, target: pa.Schema,
+                  dirty_dir, cfg: ReplayConfig):
+    """One share of an epoch's input, the source of one direct_exchange
+    share: its WAL ``files`` read against the unified ``ev_schema``
+    (wal.read_files), validated and aligned to ``target``, then its
+    ``row_groups`` of the base pages at ``pages_path`` lifted to events —
+    one table per file and per row group, handed on in batches of at
+    least ``cfg.batch_size`` rows (consecutive small tables joined, a
+    larger one alone; None = one per table), so a few small WAL segments
+    cost one combine and split while a backlog streams through with about
+    one batch in flight. The share's limiter holds cfg's caps (replay
+    divides them among its shares)."""
+    import itertools
 
-    ds = None
-    for kind, src in streams:
-        if kind == "pages":
-            s = ray.data.read_parquet(src).map_batches(
-                _pages_as_events, fn_kwargs={"target": target},
-                batch_format="pyarrow")
-        else:
-            s = src.map_batches(Validate(dirty_dir), batch_format="pyarrow",
-                                batch_size=cfg.batch_size)
-            s = s.map_batches(lambda t, tgt=target: align_table(t, tgt),
-                              batch_format="pyarrow", batch_size=cfg.batch_size)
-        ds = s if ds is None else ds.union(s)
-
-    if cfg.records_per_sec or cfg.bytes_per_sec:
-        from ..stages.ratelimit import RateLimiter
-
-        throttle_conc = 4  # global cap split across concurrent limiter actors
-        ds = ds.map_batches(
-            RateLimiter,
-            fn_constructor_args=(
-                cfg.records_per_sec / throttle_conc if cfg.records_per_sec else None,
-                cfg.bytes_per_sec / throttle_conc if cfg.bytes_per_sec else None,
-            ),
-            batch_format="pyarrow", batch_size=THROTTLE_BATCH,
-            concurrency=throttle_conc,
-            num_cpus=0.25,  # limiter actors mostly sleep; reserving whole
-            # CPUs would starve the read/merge tasks on small clusters
-        )
-    return ds
-
-
-def _event_tables(streams, target: pa.Schema, dirty_dir, cfg: ReplayConfig):
-    """In-process executor's input: the same stages as _event_dataset, run
-    in the driver as the files are read — one table per WAL file
-    (wal.read_events reads them lazily) and per row group of the base
-    pages — and handed on in batches of at least ``cfg.batch_size`` rows
-    (consecutive small tables joined, a larger one alone; None = one per
-    table), so a few small WAL segments cost one combine and split while a
-    backlog streams through with about one batch in flight. One limiter
-    holds the full cap."""
     import pyarrow.parquet as pq
 
     limiter = None
@@ -298,26 +258,47 @@ def _event_tables(streams, target: pa.Schema, dirty_dir, cfg: ReplayConfig):
         from ..stages.ratelimit import RateLimiter
 
         limiter = RateLimiter(cfg.records_per_sec, cfg.bytes_per_sec)
+    validate = Validate(dirty_dir)
+    pf = pq.ParquetFile(pages_path) if row_groups else None
+    tables = itertools.chain(
+        (align_table(validate(t), target)
+         for t in wal.read_files(files, ev_schema)),
+        (_pages_as_events(pf.read_row_group(i), target) for i in row_groups))
     batch, rows = [], 0
-    for kind, src in streams:
-        if kind == "pages":
-            pf = pq.ParquetFile(src)
-            tables = (_pages_as_events(pf.read_row_group(i), target)
-                      for i in range(pf.num_row_groups))
-        else:
-            validate = Validate(dirty_dir)
-            tables = (align_table(validate(t), target) for t in src)
-        for t in tables:
-            if limiter is not None:
-                for i in range(0, len(t), THROTTLE_BATCH):
-                    limiter(t.slice(i, THROTTLE_BATCH))
-            batch.append(t)
-            rows += len(t)
-            if rows >= (cfg.batch_size or 0):
-                yield pa.concat_tables(batch, promote_options="permissive")
-                batch, rows = [], 0
+    for t in tables:
+        if limiter is not None:
+            for i in range(0, len(t), THROTTLE_BATCH):
+                limiter(t.slice(i, THROTTLE_BATCH))
+        batch.append(t)
+        rows += len(t)
+        if rows >= (cfg.batch_size or 0):
+            yield pa.concat_tables(batch, promote_options="permissive")
+            batch, rows = [], 0
     if batch:
         yield pa.concat_tables(batch, promote_options="permissive")
+
+
+def _shares(files, ev_schema, pages_path, row_groups, local: bool,
+            target: pa.Schema, dirty_dir, cfg: ReplayConfig) -> list:
+    """The epoch's input units — its WAL files, then its base-page row
+    groups — cut into k contiguous shares (direct_exchange's callables):
+    one in the driver (``local``), else one per cluster CPU and at most
+    one per unit. Each is throttled to 1/k of cfg's caps so that together
+    they keep them."""
+    n, nf = len(files) + len(row_groups), len(files)
+    k = 1
+    if not local:
+        import ray
+
+        k = max(1, min(n, int(ray.cluster_resources().get("CPU", 1))))
+    share_cfg = replace(
+        cfg, records_per_sec=cfg.records_per_sec and cfg.records_per_sec / k,
+        bytes_per_sec=cfg.bytes_per_sec and cfg.bytes_per_sec / k)
+    cuts = [n * i // k for i in range(k + 1)]
+    return [partial(_event_tables, files[a:b], ev_schema, pages_path,
+                    row_groups[max(a - nf, 0):max(b - nf, 0)], target,
+                    dirty_dir, share_cfg)
+            for a, b in zip(cuts, cuts[1:])]
 
 
 def replay(
@@ -337,7 +318,6 @@ def replay(
     run_id = uuid.uuid4().hex[:12]
     report = RunReport(run_id=run_id)
     lake = Lake(lake_dir)
-    _tune_read_parallelism()
     # per-run dirty subdir: epochs re-validate unpruned WAL files, so a
     # shared dir would double-count the same bad rows across runs and trip
     # the budget on clean data (the budget is a per-job contract)
@@ -378,7 +358,7 @@ def replay(
     )
 
     # ---- source(s), and the executor sized to them (module docstring) ----
-    streams = []  # ("events", Dataset | Table) | ("pages", path)
+    files, ev_schema, row_groups = [], None, []  # the input units
     schemas = []
     rows_hint = 0
     txn_hi_run = low
@@ -392,6 +372,7 @@ def replay(
 
         md = pq.read_metadata(pages_path)
         rows_hint += md.num_rows
+        row_groups = list(range(md.num_row_groups))
         input_bytes += sum(md.row_group(i).column(j).total_compressed_size
                            for i in range(md.num_row_groups)
                            for j in range(md.num_columns))
@@ -403,16 +384,16 @@ def replay(
     if input_bytes > LOCAL_INPUT_BYTES:
         _warn_if_backlog_exceeds_memory(input_bytes, local)
     if events_dir is not None:
-        ev, ev_schema, n, txn_hi_run = wal.read_events(
-            ev_files, low_watermark=low, in_process=local)
-        if ev is not None:
-            streams.append(("events", ev))
+        files, ev_schema, n, txn_hi_run = wal.read_events(
+            ev_files, low_watermark=low, in_process=True)
+        if files is None:
+            files = []
+        else:
             schemas.append(ev_schema)
             rows_hint += n
     if include_pages:
         page_schema = pq.read_schema(pages_path)
         schemas.append(pa.schema(list(page_schema) + [pa.field(n, t) for n, t in META_FIELDS]))
-        streams.append(("pages", pages_path))
 
     if bootstrap:
         target = unify(schemas) if schemas else None
@@ -423,13 +404,13 @@ def replay(
     else:
         schema = lake.event_schema(meta)
         target = unify([schema] + schemas) if schemas else None
-        if target is None or not streams:
+        if target is None or not (files or row_groups):
             return report.finish(started)  # fully caught up
         if not target.equals(schema):
             lake.evolve_schema(target, meta)  # additive, safe pre-commit
 
-    events = (_event_tables if local else _event_dataset)(
-        streams, target, dirty_dir, cfg)
+    shares = _shares(files, ev_schema, pages_path, row_groups, local, target,
+                     dirty_dir, cfg)
 
     lake_root, wm, tgt = lake.root, dict(watermarks), target
     watchdog = None
@@ -447,17 +428,17 @@ def replay(
                         monitor=watchdog.monitor if watchdog else None,
                         shared=shared)
 
-    # assign + combine run INSIDE the exchange's split step (no separate
-    # map stage, one less plasma round-trip per block); in the driver the
-    # same combiner folds each partition's buffered slices. direct_exchange
-    # and _merge_tables are looked up at call time so they can be wrapped
+    # assign + combine run on each table of a share before it is split,
+    # and the same combiner folds each partition's buffered slices.
+    # direct_exchange and _merge_tables are looked up at call time so they
+    # can be wrapped
     from ..stages.exchange import direct_exchange
 
     fuse = _AssignCombineFuse(cfg.num_partitions, wm)
     with read_once():  # inline compactions read each L0 file once
-        meta_rows = direct_exchange(events, cfg.num_partitions, _merge_tables,
+        meta_rows = direct_exchange(shares, cfg.num_partitions, _merge_tables,
                                     merge_kwargs, fuse_fn=fuse,
-                                    fold_fn=fuse.combine)
+                                    fold_fn=fuse.combine, local=local)
     if shared:
         for (m, _), staged in zip(shared, lake.write_staged_shared(
                 run_id, [(m["partition"], t) for m, t in shared])):

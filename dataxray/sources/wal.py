@@ -152,26 +152,22 @@ def read_events(
     may advance to it, even partitions that saw no rows (they provably have
     no events ≤ txn_hi).
 
-    ``in_process=True`` returns, instead of the Dataset, a generator that
-    reads one Arrow table per file here with pyarrow (the replay's driver
-    executor): the same files against the same unified schema, without
-    planning a Ray read, and never more than one file in memory at once.
+    ``in_process=True`` returns, instead of the Dataset, the pruned files
+    themselves, without planning a Ray read: the replay cuts them into
+    shares, each read with read_files against the unified schema.
     """
     files = prune_files(resolve_files(source), low_watermark)
     if not files:
         return None, None, 0, low_watermark
     schema = unified_schema(files)
-    paths = [f.path for f in files]
-    pafs = filesystem_for(files[0].fs_scheme)
     if in_process:
-        data = (pq.read_table(p, schema=schema, columns=columns,
-                              filesystem=pafs, partitioning=None)
-                for p in paths)
+        data = files
     else:
         import ray.data
 
-        data = ray.data.read_parquet(paths, schema=schema, columns=columns,
-                                     filesystem=pafs, **read_kwargs)
+        data = ray.data.read_parquet(
+            [f.path for f in files], schema=schema, columns=columns,
+            filesystem=filesystem_for(files[0].fs_scheme), **read_kwargs)
     if txn_aligned(files):
         txn_hi = max(f.txn_hi for f in files)
     else:  # conservative: no uniform watermark advance on misaligned logs
@@ -184,3 +180,13 @@ def read_events(
         )
         txn_hi = low_watermark
     return data, schema, sum(f.num_rows for f in files), txn_hi
+
+
+def read_files(files: list[EventFile], schema: pa.Schema):
+    """One Arrow table per file of ``files``, read in this process with
+    pyarrow against ``schema`` (read_events' unified schema), one file in
+    memory at a time."""
+    pafs = filesystem_for(files[0].fs_scheme) if files else None
+    for f in files:
+        yield pq.read_table(f.path, schema=schema, filesystem=pafs,
+                            partitioning=None)

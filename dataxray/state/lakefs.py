@@ -76,19 +76,26 @@ def _read_file(path: str, columns: list[str] | None, filesystem,
 
 
 def _write_file(table: pa.Table, path: str, compression: str, filesystem,
-                row_groups: list[int] | None) -> None:
+                row_groups: list[int] | None) -> int:
     """``table`` as one Parquet file: with ``row_groups`` (row counts that
-    sum to its length) one row group of each size, in order."""
+    sum to its length) one row group of each size, in order. Returns its
+    data bytes: the compressed size of its column chunks, footer excluded,
+    from the writer's own metadata (no read-back)."""
+    md: list = []
     if row_groups is None:
         pq.write_table(table, path, filesystem=filesystem,
-                       compression=compression)
-        return
-    with pq.ParquetWriter(path, table.schema, filesystem=filesystem,
-                          compression=compression) as w:
-        off = 0
-        for n in row_groups:
-            w.write_table(table.slice(off, n), row_group_size=n)
-            off += n
+                       compression=compression, metadata_collector=md)
+    else:
+        with pq.ParquetWriter(path, table.schema, filesystem=filesystem,
+                              compression=compression,
+                              metadata_collector=md) as w:
+            off = 0
+            for n in row_groups:
+                w.write_table(table.slice(off, n), row_group_size=n)
+                off += n
+    return sum(rg.column(j).total_compressed_size
+               for m in md for rg in map(m.row_group, range(m.num_row_groups))
+               for j in range(rg.num_columns))
 
 
 def footer_bytes(fs, paths: list[str], columns: list[str]) -> int:
@@ -149,8 +156,8 @@ class LocalLakeFS:
         os.replace(tmp, path)
 
     def write_parquet(self, table: pa.Table, path: str, compression: str,
-                      row_groups: list[int] | None = None) -> None:
-        _write_file(table, path, compression, None, row_groups)
+                      row_groups: list[int] | None = None) -> int:
+        return _write_file(table, path, compression, None, row_groups)
 
     def read_parquet(self, path: str, columns: list[str] | None = None,
                      row_groups=None) -> pa.Table:
@@ -246,8 +253,8 @@ class ObjectLakeFS:
             f.write(payload)
 
     def write_parquet(self, table: pa.Table, path: str, compression: str,
-                      row_groups: list[int] | None = None) -> None:
-        _write_file(table, path, compression, self.pafs, row_groups)
+                      row_groups: list[int] | None = None) -> int:
+        return _write_file(table, path, compression, self.pafs, row_groups)
 
     def read_parquet(self, path: str, columns: list[str] | None = None,
                      row_groups=None) -> pa.Table:

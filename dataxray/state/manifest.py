@@ -54,15 +54,20 @@ Layout (format 3):
       (generation k > 0: g000k-part=00007/…, g000k-l0/…)
 
 Per partition the snapshot records its file refs (base first, then
-deltas), ``n_deltas``, ``base_bytes`` (its base file's size, recorded when
-the base is written), ``txn_hi`` (its applied watermark) and ``data_txn``
-(the txn_hi of its last data write: which partitions changed after a txn).
+deltas), ``n_deltas``, ``base_bytes`` (its base file's data bytes,
+recorded when the base is written), ``txn_hi`` (its applied watermark) and
+``data_txn`` (the txn_hi of its last data write: which partitions changed
+after a txn).
 A ref is a lake-relative path (the whole file: a base file, or a
 distributed merge's one-partition delta as ``{path, bytes}``) or a slice
 of a shared L0 file, ``{path, bytes, skip, rows[, rg][, until]}``: ``rows``
 rows from row ``skip`` of the file, or of its row groups ``rg`` = [first,
-end) when it has several, ``bytes`` the slice's share of the file's size
-and ``until`` the last partition whose slice shares its row groups.
+end) when it has several, ``bytes`` the slice's share of the file's data
+bytes and ``until`` the last partition whose slice shares its row groups.
+Data bytes are the compressed size of a file's column chunks, without its
+footer, taken from the writer's metadata; a slice's share is apportioned
+by Arrow size. Both executors record them alike, so rewrites_base decides
+the same whichever wrote the deltas.
 
 The L0 file is the LSM shape (O'Neil et al. 1996): a delta epoch run in the
 driver writes its partitions' LWW winners as ONE file sorted by partition,
@@ -257,13 +262,13 @@ def _schema_from_b64(s: str) -> pa.Schema:
 # backlogs and full scans of big lakes (MBs) stay distributed there.
 #
 # The CPU term: on one CPU the tasks queue one after another, and their
-# plan, dispatch and object-store copies are pure overhead. A 264k-event
-# backfill took 3.7 s as a Ray Data plan with 21 split and 32 merge tasks
-# against 0.9 s in the driver, where the write path streams one WAL file
-# at a time (replay's _event_tables), so its memory stays bounded. On 2
-# and 4 CPUs of the same VM the driver still won at that size (medians
-# 0.93 vs 2.13 s and 0.99 vs 1.59 s) and at 4x it (3.3 vs 4.9 s warm on 4
-# CPUs): no crossover was measured, so the term stays at one CPU.
+# dispatch and object-store copies are pure overhead; in the driver the
+# write path streams one WAL file at a time (replay's _event_tables), so
+# its memory stays bounded. With more CPUs a distributed replay runs the
+# same code as one shard task per CPU. tools/executor_probe.py, fresh-lake
+# replays with ReplayConfig() defaults on 4 logical Ray CPUs of a shared
+# 4-vCPU Xeon VM, warm medians of 3 runs: the 264k-event backfill took
+# 0.33 s distributed vs 0.52 s in the driver, and 4x it 0.85 vs 2.25 s.
 LOCAL_INPUT_BYTES = 1 << 20
 
 # The LWW key, the lineage and the tombstone marker: a projected resolve
@@ -286,6 +291,13 @@ def in_driver(input_bytes: int) -> bool:
     return ray.cluster_resources().get("CPU", 0) <= 1
 
 
+def _submit(remote_fn, n: int, *args) -> list:
+    """Submit with num_returns=n and always get a list of refs back (Ray
+    returns a bare ObjectRef, not a list, when n is 1)."""
+    out = remote_fn.options(num_returns=n).remote(*args)
+    return [out] if n == 1 else out
+
+
 def _submit_jobs(fn, jobs: list[tuple], per_job: bool) -> list:
     """Submit ``jobs`` as k = min(jobs, cluster CPUs) Ray tasks, each
     running a contiguous share of them: no more tasks queue than CPUs can
@@ -293,8 +305,6 @@ def _submit_jobs(fn, jobs: list[tuple], per_job: bool) -> list:
     task per partition. Returns one ObjectRef per task holding its share's
     results as a list, or with ``per_job`` one ObjectRef per job."""
     import ray
-
-    from ..stages.exchange import _submit
 
     k = min(len(jobs), max(int(ray.cluster_resources().get("CPU", 1)), 1))
     cuts = [len(jobs) * i // k for i in range(k + 1)]
@@ -671,18 +681,20 @@ class Lake:
     def write_staged(self, run_id: str, p: int, table: pa.Table) -> dict:
         """Called from inside merge tasks: write new partition state into
         the run's staging directory, return commit metadata (a small row —
-        the data itself never re-shuffles)."""
+        the data itself never re-shuffles). ``bytes`` is the file's data
+        bytes (its column chunks, footer excluded), so it compares with a
+        slice's share of a shared file (write_staged_shared)."""
         d = self._p(STAGING, run_id)
         self.fs.makedirs(d)
         path = os.path.join(d, f"part-{p:05d}-{uuid.uuid4().hex}.parquet")
-        self.fs.write_parquet(table, path, compression=self.COMPRESSION)
+        data = self.fs.write_parquet(table, path, compression=self.COMPRESSION)
         failpoint("staged")
         return {
             "partition": p,
             "staged": [path],
             "row_count": len(table),
             "num_bytes": table.nbytes,
-            "bytes": self.fs.size(path),
+            "bytes": data,
         }
 
     def write_staged_shared(self, run_id: str,
@@ -691,9 +703,10 @@ class Lake:
         partition order, as ONE L0 file sorted by partition (module
         docstring); returns write_staged's metadata per partition, each
         with the ``slice`` of the file its partition refers to and
-        ``bytes``, its share of the file's size. Slices of up to
-        ROW_GROUP_ROWS rows are packed into row groups of up to that many
-        rows; a larger one is written as row groups of its own."""
+        ``bytes``, its share of the file's data bytes by Arrow size.
+        Slices of up to ROW_GROUP_ROWS rows are packed into row groups of up
+        to that many rows; a larger one is written as row groups of its
+        own."""
         d = self._p(STAGING, run_id)
         self.fs.makedirs(d)
         path = os.path.join(d, f"l0-{uuid.uuid4().hex}.parquet")
@@ -725,12 +738,12 @@ class Lake:
                 refs.append(ref)
                 skip += len(t)
             rg += k
-        self.fs.write_parquet(table, path, compression=self.COMPRESSION,
-                              row_groups=row_groups if multi else None)
+        data = self.fs.write_parquet(table, path, compression=self.COMPRESSION,
+                                     row_groups=row_groups if multi else None)
         failpoint("staged")
-        size, total = self.fs.size(path), max(table.nbytes, 1)
+        total = max(table.nbytes, 1)
         return [{"partition": p, "staged": [path], "row_count": len(t),
-                 "num_bytes": t.nbytes, "bytes": size * t.nbytes // total,
+                 "num_bytes": t.nbytes, "bytes": data * t.nbytes // total,
                  "slice": r} for (p, t), r in zip(slices, refs)]
 
     def partition_files(self, p: int, as_of_txn: int | None = None) -> list:
@@ -869,7 +882,8 @@ class Lake:
                 "files": old["files"][:len(old["files"]) - k] + files
                 if append else files,
                 "n_deltas": old["n_deltas"] - k + 1 if append else 0,
-                # a base's size, recorded when it is written (rewrites_base)
+                # a base's data bytes, recorded when it is written
+                # (rewrites_base)
                 "base_bytes": old.get("base_bytes", 0) if append
                 else int(m.get("bytes", 0)),
                 "txn_hi": txn,
@@ -970,8 +984,8 @@ class Lake:
 
     @staticmethod
     def _delta_bytes(e: dict | None) -> int:
-        """A partition's delta bytes: the sizes its last ``n_deltas`` refs
-        record (a slice's share of a shared file, not the file's size)."""
+        """A partition's delta bytes: the data bytes its last ``n_deltas``
+        refs record (a slice's share of a shared file's)."""
         if e is None or e["n_deltas"] == 0:
             return 0
         return sum(int(r["bytes"]) for r in e["files"][-e["n_deltas"]:])

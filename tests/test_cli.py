@@ -218,6 +218,18 @@ def test_fsspec_uri_reader(tmp_path):
 def test_replay_rate_limit(tmp_path):
     """speed caps on the replay path (Channel flow-control analog): a
     records_per_sec cap must stretch the epoch wall time."""
+    assert _throttled_replay(tmp_path).executor == "local"
+
+
+@pytest.mark.usefixtures("distributed")
+def test_replay_rate_limit_distributed(tmp_path):
+    """The cap holds across shards: k = 3 shard tasks (2 WAL files + the
+    pages' row group) each keep cap / 3, so the epoch still takes at least
+    rows / cap."""
+    assert _throttled_replay(tmp_path).executor == "distributed"
+
+
+def _throttled_replay(tmp_path):
     import time
 
     from dataxray.gen import GenConfig, write_dataset
@@ -227,12 +239,13 @@ def test_replay_rate_limit(tmp_path):
     write_dataset(d, GenConfig(n_urls=100, n_events=2_000, n_shards=2,
                                html_mean=16), parallel=False)
     t0 = time.perf_counter()
-    replay(os.path.join(d, "events"), str(tmp_path / "lake"),
-           pages_path=os.path.join(d, "pages.parquet"),
-           cfg=ReplayConfig(num_partitions=2, records_per_sec=2_000))
+    rep = replay(os.path.join(d, "events"), str(tmp_path / "lake"),
+                 pages_path=os.path.join(d, "pages.parquet"),
+                 cfg=ReplayConfig(num_partitions=2, records_per_sec=2_000))
     wall = time.perf_counter() - t0
     # 2100 rows at 2000/s → ≥ ~1s of throttle sleep on top of the work
     assert wall >= 1.0
+    return rep
 
 
 def test_reader_level_casts(tmp_path):

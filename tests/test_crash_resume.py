@@ -272,6 +272,7 @@ def test_crash_point_matrix_delta_epoch(data_dir, tmp_path, monkeypatch,
     with pytest.raises(Crash):
         replay(wal, lake_dir, cfg=cfg)
     monkeypatch.undo()
+    monkeypatch.setattr(M, "SIZE_RATIO", 1)
     assert steps.count("staged") == 1 and steps.count("finalize") <= 1
     durable = step in DURABLE
     assert (Lake(lake_dir).watermarks() != before) == durable
@@ -295,15 +296,18 @@ def test_crash_point_matrix_delta_epoch(data_dir, tmp_path, monkeypatch,
 def test_crash_point_matrix_delta_merge(data_dir, tmp_path, monkeypatch,
                                         scheme, step, history):
     """Crash a delta-merge epoch — every partition's next delta reaches
-    compact_threshold (2) while its delta bytes stay below half its base's,
-    so it merges its delta and the epoch's events into one slice of the
-    epoch's L0 file — at each step of its commit. Resume reaches the oracle
-    with every event applied once; each partition keeps its base and holds
-    one delta, and on a lake without history the sweep leaves only the new
-    L0 file (the replaced one is garbage)."""
+    compact_threshold (2) while its delta bytes stay below 1/SIZE_RATIO of
+    its base's, so it merges its delta and the epoch's events into one
+    slice of the epoch's L0 file — at each step of its commit. Resume
+    reaches the oracle with every event applied once; each partition keeps
+    its base and holds one delta, and on a lake without history the sweep
+    leaves only the new L0 file (the replaced one is garbage)."""
     lake_dir = scheme + str(tmp_path / "lake")
     cfg = ReplayConfig(num_partitions=8, sink_mode="delta",
                        compact_threshold=2, history=history)
+    # one shard's delta holds about 0.5-0.65 of its base's data bytes in
+    # this data: at a size ratio of 1 every partition merges
+    monkeypatch.setattr(M, "SIZE_RATIO", 1)
     wal = _wal(data_dir, tmp_path, [0])
     replay(wal, lake_dir, pages_path=os.path.join(data_dir, "pages.parquet"),
            cfg=cfg)
@@ -326,6 +330,7 @@ def test_crash_point_matrix_delta_merge(data_dir, tmp_path, monkeypatch,
     with pytest.raises(Crash):
         replay(wal, lake_dir, cfg=cfg)
     monkeypatch.undo()
+    monkeypatch.setattr(M, "SIZE_RATIO", 1)
     assert steps.count("staged") == 1 and steps.count("finalize") <= 1
     durable = step in DURABLE
     assert (Lake(lake_dir).watermarks() != before) == durable
@@ -361,21 +366,32 @@ def _half_compacted(lake_dir: str) -> None:
 def test_crash_mixed_epoch(data_dir, tmp_path, monkeypatch, scheme, step):
     """A mixed epoch: the partitions compacted before it append their slice
     of the epoch's L0 file; of the others, which reach compact_threshold,
-    those whose merged delta (shards 1 and 2) reached half their base's
-    bytes rewrite their base, and the rest merge that delta with the
-    epoch's events into one slice of the epoch's L0 file. Crashed at each
-    step of its commit, it resumes to the oracle, and the sweep leaves
-    exactly the files the snapshot references: the older L0 file dies once
-    its last partition is rewritten or merged."""
+    those whose merged delta (shards 1 and 2) reached 1/SIZE_RATIO of
+    their base's bytes rewrite their base, and the rest merge that delta
+    with the epoch's events into one slice of the epoch's L0 file. Crashed
+    at each step of its commit, it resumes to the oracle, and the sweep
+    leaves exactly the files the snapshot references: the older L0 file
+    dies once its last partition is rewritten or merged."""
     lake_dir = scheme + str(tmp_path / "lake")
     cfg = ReplayConfig(num_partitions=8, sink_mode="delta",
                        compact_threshold=2)
+    # one shard's delta holds about 0.5-0.65 of its base's data bytes in
+    # this data: at a size ratio of 1 the second epoch merges every
+    # partition's deltas
+    monkeypatch.setattr(M, "SIZE_RATIO", 1)
     wal = _wal(data_dir, tmp_path, [0])
     replay(wal, lake_dir, pages_path=os.path.join(data_dir, "pages.parquet"),
            cfg=cfg)
-    for s in (1, 2):  # the second epoch merges every partition's deltas
+    for s in (1, 2):
         replay(_wal(data_dir, tmp_path, [s]), lake_dir, cfg=cfg)
     _half_compacted(lake_dir)
+    # then put the size ratio between the merged deltas' smallest and
+    # largest share of their base, so the epoch both merges and rewrites
+    ratios = [M.Lake._delta_bytes(e) / e["base_bytes"]
+              for e in M.entries(Lake(lake_dir).snapshot()).values()
+              if e["n_deltas"]]
+    ratio = 2 / (min(ratios) + max(ratios))
+    monkeypatch.setattr(M, "SIZE_RATIO", ratio)
     want = {p: "append" if e["n_deltas"] == 0
             else "rewrite" if M.rewrites_base(e) else "merge"
             for p, e in M.entries(Lake(lake_dir).snapshot()).items()}
@@ -388,6 +404,7 @@ def test_crash_mixed_epoch(data_dir, tmp_path, monkeypatch, scheme, step):
     with pytest.raises(Crash):
         replay(wal, lake_dir, cfg=cfg)
     monkeypatch.undo()
+    monkeypatch.setattr(M, "SIZE_RATIO", ratio)
     durable = step in DURABLE
     _assert_oracle(_state(lake_dir), _oracle(4 if durable else 3))
 

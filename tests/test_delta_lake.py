@@ -227,9 +227,11 @@ def test_large_slices_get_row_groups_of_their_own(tmp_path, scheme,
 
 # one WAL shard per epoch, 3 x compact_threshold epochs; each shard touches
 # a small share of its partition's urls, so the deltas reach 1/SIZE_RATIO
-# of a base only after a few epochs
-MERGE_CFG = GenConfig(n_urls=800, n_events=1_800, n_shards=9, html_mean=512,
-                      zipf_s=1.2)
+# of a base only after a few epochs. The small-row case has deltas of a few
+# KB, where a file's footer would outweigh its data: recorded data bytes
+# keep both executors' decisions alike there
+MERGE_CFGS = [GenConfig(n_urls=800, n_events=1_800, n_shards=9, html_mean=m,
+                        zipf_s=1.2) for m in (512, 32)]
 MERGE_THRESHOLD = 3
 
 
@@ -244,11 +246,17 @@ def test_delta_merge_bounds_deltas_and_rewrites_by_size(executor, tmp_path,
     the driver an epoch reads each (file, row groups, columns) of the lake
     at most once, so the partitions merging slices of one L0 file decode
     it once between them (merge tasks run in worker processes, whose
-    reads are not recorded here)."""
+    reads are not recorded here). Run for large and for small rows."""
+    for i, gen_cfg in enumerate(MERGE_CFGS):
+        _merge_epochs(gen_cfg, executor, tmp_path / f"case{i}", monkeypatch,
+                      scheme)
+
+
+def _merge_epochs(gen_cfg, executor, tmp_path, monkeypatch, scheme):
     from dataxray.state import manifest as M
 
     src = str(tmp_path / "data")
-    write_dataset(src, MERGE_CFG, parallel=False)
+    write_dataset(src, gen_cfg, parallel=False)
     root = scheme + str(tmp_path / "lake")
     cfg = ReplayConfig(num_partitions=4, sink_mode="delta", history=True,
                        compact_threshold=MERGE_THRESHOLD)
@@ -268,7 +276,7 @@ def test_delta_merge_bounds_deltas_and_rewrites_by_size(executor, tmp_path,
     wal = tmp_path / "wal"
     wal.mkdir()
     seen = set()
-    for s in range(MERGE_CFG.n_shards):
+    for s in range(gen_cfg.n_shards):
         before = M.entries(lake.snapshot())
         want = {p: "append" if e["n_deltas"] + 1 < MERGE_THRESHOLD
                 else "rewrite" if M.rewrites_base(e) else "merge"
@@ -288,9 +296,9 @@ def test_delta_merge_bounds_deltas_and_rewrites_by_size(executor, tmp_path,
         if executor == "local":
             assert len(reads) == len(set(reads)), sorted(reads)
         events = pa.concat_tables(
-            [generate_event_shard(MERGE_CFG, i) for i in range(s + 1)],
+            [generate_event_shard(gen_cfg, i) for i in range(s + 1)],
             promote_options="permissive")
-        want_df = sequential_oracle(generate_pages(MERGE_CFG), events)
+        want_df = sequential_oracle(generate_pages(gen_cfg), events)
         got = lake.read_all().to_pandas().sort_values("url").reset_index(drop=True)
         assert got["url"].tolist() == want_df["url"].tolist()
         assert got["text"].tolist() == want_df["text"].tolist()

@@ -13,6 +13,7 @@ import shutil
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -281,50 +282,79 @@ def test_direct_exchange_matches_oracle(data_dir, oracle_df, tmp_path):
 
 @pytest.mark.usefixtures("distributed")
 def test_single_partition_direct_exchange(data_dir, oracle_df, tmp_path):
-    """P=1 is one coarse group of width 1: every split and fan-out task has
-    num_returns=1, so Ray hands back bare ObjectRefs, not lists."""
+    """P=1: every shard task has num_returns=1, so Ray hands back bare
+    ObjectRefs, not lists, and the one merge job takes one slice per
+    shard."""
     lake = str(tmp_path / "lake_p1")
-    replay(os.path.join(data_dir, "events"), lake,
-           pages_path=os.path.join(data_dir, "pages.parquet"),
-           cfg=ReplayConfig(num_partitions=1))
+    rep = replay(os.path.join(data_dir, "events"), lake,
+                 pages_path=os.path.join(data_dir, "pages.parquet"),
+                 cfg=ReplayConfig(num_partitions=1))
+    assert rep.executor == "distributed"
     assert_matches_oracle(lake, oracle_df)
 
 
+def _dirty_copy(src: str, dst: str, txn_base: int) -> int:
+    """Write WAL file ``src`` to ``dst`` with every url emptied (so every
+    row is dirty) and its txn ids moved to start above ``txn_base``;
+    returns the new highest txn id."""
+    t = pq.read_table(src)
+    txn = pc.add(pc.subtract(t["txn_id"], pc.min(t["txn_id"])), txn_base + 1)
+    t = t.set_column(t.schema.get_field_index("url"), "url",
+                     pa.array([""] * len(t), pa.string()))
+    t = t.set_column(t.schema.get_field_index("txn_id"), "txn_id", txn)
+    pq.write_table(t, dst)
+    return pc.max(txn).as_py()
+
+
 @pytest.mark.usefixtures("distributed")
-def test_two_level_exchange_matches_oracle(data_dir, oracle_df, tmp_path):
-    """Partition counts whose √P grouping leaves a narrow last group reach
-    the oracle state: P=21 -> group widths 5,5,5,5,1 and P=7 -> 3,3,1, so
-    the fan-out runs both uneven and width-1 (num_returns=1) shapes."""
-    from dataxray.stages.exchange import group_edges
+def test_two_level_exchange_matches_oracle(data_dir, oracle_df, tmp_path,
+                                           monkeypatch):
+    """Replays cut into k = 1..4 shares (a cluster of k CPUs; k = 1 runs in
+    the driver) reach the oracle state at P=21 and P=7, and re-delivering
+    the same WAL is a no-op. Two all-dirty WAL files sort first, so at
+    k = 4 the first share (units [0, 2) of 9) yields no rows at all."""
+    import ray
 
-    for p, widths in ((21, [5, 5, 5, 5, 1]), (7, [3, 3, 1])):
-        assert np.diff(group_edges(p)).tolist() == widths
-        lake = str(tmp_path / f"lake_2l_{p}")
-        rep = replay(os.path.join(data_dir, "events"), lake,
-                     pages_path=os.path.join(data_dir, "pages.parquet"),
-                     cfg=ReplayConfig(num_partitions=p))
-        assert rep.partitions_committed == p
-        assert_matches_oracle(lake, oracle_df)
-        rep2 = replay(os.path.join(data_dir, "events"), lake,
-                      cfg=ReplayConfig(num_partitions=p))
-        assert rep2.partitions_committed == 0
+    events = str(tmp_path / "events")
+    shutil.copytree(os.path.join(data_dir, "events"), events)
+    files = sorted(os.listdir(events))
+    hi = max(pq.read_table(os.path.join(events, f), columns=["txn_id"])
+             ["txn_id"].to_numpy().max() for f in files)
+    for name in ("0-dirty-a.parquet", "0-dirty-b.parquet"):
+        hi = _dirty_copy(os.path.join(events, files[-1]),
+                         os.path.join(events, name), int(hi))
+    real = ray.cluster_resources
+    for p in (21, 7):
+        for k in (1, 2, 3, 4):
+            lake = str(tmp_path / f"lake_{p}_{k}")
+            with monkeypatch.context() as m:
+                m.setattr(ray, "cluster_resources",
+                          lambda: {**real(), "CPU": float(k)})
+                rep = replay(events, lake,
+                             pages_path=os.path.join(data_dir, "pages.parquet"),
+                             cfg=ReplayConfig(num_partitions=p))
+                rep2 = replay(events, lake, cfg=ReplayConfig(num_partitions=p))
+            assert rep.executor == ("local" if k == 1 else "distributed")
+            assert rep.partitions_committed == p, (p, k)
+            assert rep2.partitions_committed == 0, (p, k)
+            assert_matches_oracle(lake, oracle_df)
 
 
-def test_two_level_exchange_unit_semantics(tmp_path):
+def test_two_level_exchange_unit_semantics():
     """Unit-level: the exchange delivers every row to exactly its _part's
-    merge, with empty blocks and a skewed part in the mix, from one coarse
-    group (P=1, 2) to several uneven ones (P=3, 13). 37 blocks also make a
-    group's fan-out flush mid-stream (REGROUP=16). A list of tables runs
-    the same exchange in-process."""
-    import ray.data
+    merge, with empty tables, an empty share and a skewed part in the mix,
+    at P=1, 2, 3 and 13, both in this process and as shard and merge
+    tasks."""
+    from functools import partial
 
     from dataxray.schema import PART_COL
     from dataxray.stages.exchange import direct_exchange
 
     def merge_fn(q, tables):
+        assert all(len(x) for x in tables) and PART_COL not in tables[0].column_names
         tot = sum(int(pa.Table.column(x, "v").combine_chunks()
-                      .to_numpy().sum()) for x in tables if len(x))
-        return {"partition": q, "sum": tot}
+                      .to_numpy().sum()) for x in tables)
+        return {"partition": q, "sum": tot, "rows": sum(map(len, tables))}
 
     rng = np.random.default_rng(7)
     for p in (1, 2, 3, 13):
@@ -334,17 +364,54 @@ def test_two_level_exchange_unit_semantics(tmp_path):
                                 np.full(1000, hot)]).astype(np.int32)
         vals = np.arange(len(parts), dtype=np.int64)
         t = pa.table({PART_COL: pa.array(parts), "v": pa.array(vals)})
-        want = {int(q): int(vals[parts == q].sum()) for q in range(p)
-                if (parts == q).any()}
-        ds = ray.data.from_arrow(t).repartition(37)  # force empty/small blocks
-        got = {m["partition"]: m["sum"]
-               for m in direct_exchange(ds, p, merge_fn, {})}
-        assert got == want, p
-        # in-process mode: the same tables, no tasks
+        want = [{"partition": q, "sum": int(vals[parts == q].sum()),
+                 "rows": int((parts == q).sum())}
+                for q in range(p) if (parts == q).any()]
         blocks = [t.slice(i, 700) for i in range(0, len(t), 700)] + [t.slice(0, 0)]
-        got = {m["partition"]: m["sum"]
-               for m in direct_exchange(blocks, p, merge_fn, {})}
-        assert got == want, p
+        shares = [partial(iter, blocks[:3]), partial(iter, []),
+                  partial(iter, [t.slice(0, 0)]), partial(iter, blocks[3:])]
+        for local in (True, False):
+            got = direct_exchange(shares, p, merge_fn, {}, local=local)
+            assert got == want, (p, local)
+
+
+@pytest.mark.usefixtures("distributed")
+def test_distributed_replay_starts_k_shards_and_at_most_cpus_merges(
+        data_dir, tmp_path, monkeypatch):
+    """A distributed replay of 6 WAL files on the 4-CPU test cluster runs
+    k = min(CPUs, files) = 4 shard tasks and its P=8 merges as at most 4
+    tasks: no task per partition, block or coarse group."""
+    import collections
+
+    import ray
+
+    started = collections.Counter()
+    real = ray.remote
+
+    class Counted:
+        def __init__(self, fn, name):
+            self.fn, self.name = fn, name
+
+        def options(self, **kw):
+            return Counted(self.fn.options(**kw), self.name)
+
+        def remote(self, *args, **kw):
+            started[self.name] += 1
+            return self.fn.remote(*args, **kw)
+
+    def remote(*args, **kw):
+        deco = real(*args, **kw)
+        return lambda fn: Counted(deco(fn), fn.__name__)
+
+    monkeypatch.setattr(ray, "remote", remote)
+    events = os.path.join(data_dir, "events")
+    assert len(os.listdir(events)) == 6
+    rep = replay(events, str(tmp_path / "lake"),
+                 cfg=ReplayConfig(num_partitions=8))
+    assert rep.executor == "distributed"
+    assert rep.partitions_committed == 8
+    assert started["_gather_share"] == 4
+    assert 1 <= started["_run_jobs"] <= 4
 
 
 def test_format_2_lake_refused(tmp_path):
